@@ -66,7 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=[s.value for s in sampler.SamplingStrategy],
                    default="uniform")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="split the draws into this many random streams, seeded by "
+                        "(seed, stream) and run one after another; the output "
+                        "depends only on seed and this count (default 1)")
     p.add_argument("-o", "--out", help="output TSV path (default stdout)")
 
     p = sub.add_parser("enumerate", help="exact census of every k-subset")

@@ -188,8 +188,9 @@ class HostGraph:
     """A large undirected simple graph with O(k^2)-cost induced-subgraph reads.
 
     Adjacency is stored in compressed sparse rows (sorted neighbor arrays), so
-    an edge test is a binary search in one node's neighbor list and memory
-    stays near 12 bytes/edge even for million-node hosts.
+    a single edge test is a binary search in one node's neighbor list.
+    Batched edge tests search the sorted edge keys u*n + v (u < v) instead.
+    Edge list, rows and keys take 40 bytes per edge.
     """
 
     def __init__(self, n: int, edges: "Iterable[tuple[int, int]] | np.ndarray",
@@ -226,6 +227,9 @@ class HostGraph:
         else:
             self.names = [str(i) for i in range(n)]
         self.edge_array = arr  # (m, 2), u < v, lexicographically sorted
+        # Edge keys u*n + v inherit that order, so they need no sort; the
+        # trailing n*n exceeds every key and keeps searchsorted in bounds.
+        self._edge_keys = np.append(arr[:, 0] * n + arr[:, 1], n * n)
         both = np.concatenate([arr, arr[:, ::-1]]) if len(arr) else arr
         order = np.lexsort((both[:, 1], both[:, 0])) if len(both) else []
         sorted_pairs = both[order] if len(both) else both
@@ -254,18 +258,24 @@ class HostGraph:
         return i < len(row) and row[i] == v
 
 
-def induced_bits(graph: HostGraph, nodes: Sequence[int]) -> Graphette:
-    """Graphette induced on an ordered k-tuple of distinct host nodes.
-
-    Position i of `nodes` becomes graphette node i; costs O(k^2) edge tests
-    regardless of host size.
-    """
-    k = len(nodes)
-    if len(set(nodes)) != k:
+def check_nodes(graph: HostGraph, nodes: Sequence[int]) -> None:
+    """Raise ValueError unless nodes are distinct labels of the host."""
+    if len(set(nodes)) != len(nodes):
         raise ValueError(f"duplicate node label in {nodes}")
     for u in nodes:
         if not 0 <= u < graph.n:
             raise ValueError(f"node label {u} out of range (n={graph.n})")
+
+
+def induced_bits(graph: HostGraph, nodes: Sequence[int]) -> Graphette:
+    """Graphette induced on an ordered k-tuple of distinct host nodes.
+
+    Position i of `nodes` becomes graphette node i; costs O(k^2) edge tests
+    regardless of host size.  This is the one-sample reference for
+    induced_bits_batch.
+    """
+    check_nodes(graph, nodes)
+    k = len(nodes)
     bits = 0
     for i in range(1, k):
         base = i * (i - 1) // 2
@@ -273,3 +283,23 @@ def induced_bits(graph: HostGraph, nodes: Sequence[int]) -> Graphette:
             if graph.has_edge(nodes[i], nodes[j]):
                 bits |= 1 << (base + j)
     return Graphette(k, bits)
+
+
+def induced_bits_batch(graph: HostGraph, nodes: np.ndarray) -> np.ndarray:
+    """Bit vectors induced on every row of a (B, k) array of host labels.
+
+    Row r gives the same bits as induced_bits(graph, nodes[r]).  All
+    B*k(k-1)/2 edge tests are one searchsorted over the sorted edge keys.
+    Rows must already hold distinct in-range labels; nothing is checked.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    hi, lo = np.tril_indices(nodes.shape[1], -1)  # row-major: bit order
+    a, b = nodes[:, hi], nodes[:, lo]
+    keys = (np.minimum(a, b) * graph.n + np.maximum(a, b)).reshape(-1)
+    # Searching the keys in sorted order keeps successive searches in the
+    # same part of the table, several times faster on large hosts.
+    order = np.argsort(keys)
+    table = graph._edge_keys
+    hit = np.empty(keys.shape, dtype=bool)
+    hit[order] = table[np.searchsorted(table, keys[order])] == keys[order]
+    return hit.reshape(a.shape) @ (np.int64(1) << np.arange(len(hi), dtype=np.int64))

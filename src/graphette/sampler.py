@@ -5,25 +5,34 @@ canonical graphette and node orbits through the precomputed table, and
 accumulate graphette counts, orbit counts, and the per-node orbit degree
 vector.  An exhaustive enumerator over all k-subsets doubles as the exact
 oracle for small hosts.
+
+Identification runs in numpy batches of up to BATCH k-sets: one searchsorted
+over the host's edge keys for every edge test of the batch, one fancy-indexed
+table decode, and bincounts into the tallies.  Uniform k-sets are drawn as a
+batch; expansion draws go one at a time through draw_sample and are then
+identified together.  accumulate is the batch-of-one case.  Each batch's
+(node, orbit) tallies are added in place to the dense int64 ODV.
+sample_distribution's `workers` splits the draws into that many seeded
+streams, run one after another.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 from os import PathLike
 from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .core import HostGraph, induced_bits
+from .core import HostGraph, check_nodes, induced_bits_batch
 from .store import TableSet
 
 DEFAULT_ENUMERATION_BOUND = 10_000_000
+BATCH = 4096  # k-sets identified per numpy batch; bounds the batch arrays
 
 
 class GraphFormatError(ValueError):
@@ -89,17 +98,24 @@ def load_graph(source: Union[str, PathLike, IO[str]]) -> HostGraph:
     return HostGraph(len(labels), edges, names=names)
 
 
-def _distinct_uniform(rng: np.random.Generator, n: int, k: int) -> list[int]:
+def _uniform_batch(rng: np.random.Generator, n: int, k: int, size: int) -> np.ndarray:
+    """(size, k) k-tuples of distinct labels, uniform over all ordered ones.
+
+    Independent uniform rows with a repeated label are rejected and redrawn,
+    which leaves every ordered distinct k-tuple equally likely; when 2k >= n
+    rejection would waste most draws, so each row is a random permutation's
+    prefix instead.
+    """
     if 2 * k >= n:
-        return [int(x) for x in rng.permutation(n)[:k]]
-    chosen: list[int] = []
-    seen: set[int] = set()
-    while len(chosen) < k:
-        u = int(rng.integers(n))
-        if u not in seen:
-            seen.add(u)
-            chosen.append(u)
-    return chosen
+        return rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)[:, :k]
+    kept = []
+    while size:
+        rows = rng.integers(n, size=(size, k))
+        ordered = np.sort(rows, axis=1)
+        rows = rows[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
+        kept.append(rows)
+        size -= len(rows)
+    return np.concatenate(kept)
 
 
 def _expand(
@@ -137,7 +153,7 @@ def draw_sample(
     if graph.n < k:
         raise ValueError(f"host graph has {graph.n} nodes, cannot sample k={k}")
     if strategy is SamplingStrategy.UNIFORM:
-        return _distinct_uniform(rng, graph.n, k)
+        return _uniform_batch(rng, graph.n, k, 1)[0].tolist()
     if strategy is SamplingStrategy.LOCAL_EXPANSION:
         return _expand(graph, rng, [int(rng.integers(graph.n))], k)
     if strategy is SamplingStrategy.EDGE_EXPANSION:
@@ -175,6 +191,15 @@ class SampleAccumulator:
             rng_seed=rng_seed,
         )
 
+    def add_batch(self, nodes: np.ndarray, cids: np.ndarray, orbit_ids: np.ndarray) -> None:
+        """Tally B identified samples: (B, k) nodes, (B,) cids, (B, k) orbits."""
+        self.n_samples += len(cids)
+        self.graphette_counts += np.bincount(cids, minlength=len(self.graphette_counts))
+        orbits = len(self.orbit_counts)
+        self.orbit_counts += np.bincount(orbit_ids.reshape(-1), minlength=orbits)
+        # flat ids: np.add.at is ~5x faster on one index array than on a pair
+        np.add.at(self.odv.reshape(-1), (nodes * orbits + orbit_ids).reshape(-1), 1)
+
     def merge(self, other: "SampleAccumulator") -> "SampleAccumulator":
         """Elementwise sum; associative, so worker order never matters."""
         if self.k != other.k or self.odv.shape != other.odv.shape:
@@ -189,6 +214,13 @@ class SampleAccumulator:
         )
 
 
+def _identify(acc: SampleAccumulator, graph: HostGraph, nodes: np.ndarray,
+              tables: TableSet) -> None:
+    """Identify every row of a (B, k) node array and tally it into acc."""
+    cids, orbit_ids = tables.identify_batch(induced_bits_batch(graph, nodes))
+    acc.add_batch(nodes, cids, orbit_ids)
+
+
 def accumulate(
     acc: SampleAccumulator,
     graph: HostGraph,
@@ -198,19 +230,13 @@ def accumulate(
     """Identify one k-node sample and fold it into the accumulator.
 
     Costs O(k^2) host edge tests plus O(1) table lookups, independent of
-    host size.
+    host size.  Raises ValueError on a wrong size, a repeated label or a
+    label outside the host.
     """
     if len(nodes) != tables.k or acc.k != tables.k:
         raise ValueError(f"sample size {len(nodes)} does not match table k={tables.k}")
-    g = induced_bits(graph, nodes)
-    cid, orbit_ids = tables.identify(g.bits)
-    acc.graphette_counts[cid] += 1
-    odv = acc.odv
-    orbit_counts = acc.orbit_counts
-    for u, w in enumerate(orbit_ids):
-        orbit_counts[w] += 1
-        odv[nodes[u], w] += 1
-    acc.n_samples += 1
+    check_nodes(graph, nodes)
+    _identify(acc, graph, np.array([nodes], dtype=np.int64), tables)
     return acc
 
 
@@ -224,31 +250,31 @@ def sample_distribution(
 ) -> SampleAccumulator:
     """Draw and accumulate n_samples k-sets; deterministic for fixed inputs.
 
-    Each worker w processes a fixed share of the draws with its own stream
-    seeded by (seed, w), and the per-worker accumulators are summed, so the
-    result depends only on (seed, workers), never on scheduling.
+    The draws are split into `workers` fixed shares, each drawn from its own
+    stream seeded by (seed, w); the shares run one after another in this
+    process, so the result depends only on (seed, workers).
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     k = tables.k
-    quotas = [n_samples // workers + (1 if w < n_samples % workers else 0)
-              for w in range(workers)]
-
-    def run(worker: int) -> SampleAccumulator:
+    if graph.n < k:
+        raise ValueError(f"host graph has {graph.n} nodes, cannot sample k={k}")
+    acc = SampleAccumulator.empty(tables, graph.n, rng_seed=seed)
+    for worker in range(workers):
         rng = np.random.default_rng([seed, worker])
-        acc = SampleAccumulator.empty(tables, graph.n, rng_seed=seed)
-        for _ in range(quotas[worker]):
-            accumulate(acc, graph, draw_sample(graph, k, strategy, rng), tables)
-        return acc
-
-    if workers == 1:
-        return run(0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run, range(workers)))
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merge(part)
-    return merged
+        quota = n_samples // workers + (1 if worker < n_samples % workers else 0)
+        while quota:
+            size = min(quota, BATCH)
+            if strategy is SamplingStrategy.UNIFORM:
+                nodes = _uniform_batch(rng, graph.n, k, size)
+            else:
+                nodes = np.array([draw_sample(graph, k, strategy, rng) for _ in range(size)],
+                                 dtype=np.int64)
+            _identify(acc, graph, nodes, tables)
+            quota -= size
+    return acc
 
 
 def exhaustive_enumerate(
@@ -266,8 +292,9 @@ def exhaustive_enumerate(
             f"C({graph.n}, {k}) = {total} subsets exceeds the bound {bound}"
         )
     acc = SampleAccumulator.empty(tables, graph.n)
-    for nodes in combinations(range(graph.n), k):
-        accumulate(acc, graph, nodes, tables)
+    subsets = combinations(range(graph.n), k)
+    while chunk := list(islice(subsets, BATCH)):
+        _identify(acc, graph, np.array(chunk, dtype=np.int64), tables)
     return acc
 
 

@@ -308,8 +308,17 @@ class TableSet:
 
     def identify(self, bits: int) -> tuple[int, tuple[int, ...]]:
         """Canonical id plus the global orbit id at every node position."""
-        cid = int(self.table.canonical_id[bits])
-        wit = int(self.table.witness[bits])
-        base = int(self.orbits.bases[cid])
-        ranks = self.orbits.local_ranks[cid]
-        return cid, tuple(base + int(ranks[wit >> 3 * u & 7]) for u in range(self.k))
+        cids, orbit_ids = self.identify_batch(np.array([bits]))
+        return int(cids[0]), tuple(orbit_ids[0].tolist())
+
+    def identify_batch(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Canonical ids (B,) and global orbit ids (B, k) of B bit vectors.
+
+        Node u of a graphette sits at position (witness >> 3u) & 7 of its
+        canonical, whose orbit there is bases[cid] + local_ranks[cid, pos].
+        """
+        cids = self.table.canonical_id[bits]
+        shifts = 3 * np.arange(self.k, dtype=np.uint32)
+        pos = self.table.witness[bits][:, None] >> shifts & np.uint32(7)
+        orbit_ids = self.orbits.bases[cids][:, None] + self.orbits.local_ranks[cids[:, None], pos]
+        return cids, orbit_ids
