@@ -48,6 +48,6 @@ from .sampler import (
     sample_distribution,
     write_report_tsv,
 )
-from .store import TableSet, deserialize, node_orbit, query, serialize
+from .store import TableSet, deserialize, serialize
 
 __version__ = "0.1.0"

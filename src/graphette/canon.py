@@ -1,15 +1,22 @@
 """Graphette isomorphism testing and canonical lookup-table construction.
 
 The canonical representative of an isomorphism class is its numerically
-lowest bit vector.  Tables map every bit vector B to (canonical id, witness
-permutation, connected flag), where the witness w satisfies
-apply_permutation(decode(B), w) == canonical bits.
+lowest bit vector.  Tables map every bit vector B to one packed record
+(canonical id, witness permutation, connected flag), where the witness w
+satisfies apply_permutation(decode(B), w) == canonical bits.
 
 Among all valid witnesses for a given B we always store the lexicographically
 least mapping.  That rule is independent of how the table was built, which is
 what makes one-shot and partitioned builds produce identical bytes; it also
 guarantees every canonical entry carries the identity witness, since the
 identity is lexicographically least inside any permutation group.
+
+Every build is one sweep: contiguous ranges of bit vectors are sifted
+(``sift_partition``) and the ranges merged (``merge_siftings``); the one-shot
+build is the single range [0, 2^b(k)).  The sweep relabels each class's
+lowest in-range member by all k! permutations, which also yields the class's
+global canonical and, for a canonical, its automorphisms; node orbits are
+read off those automorphisms.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from .core import (
     Permutation,
     adjacency_masks,
     bit_length,
-    decode,
     degree_sequence,
     degrees,
     is_connected,
@@ -35,16 +41,44 @@ from .core import (
 
 MAX_BUILD_K = 8          # b(8)=28 record bits; beyond this the table does not fit the format
 MAX_SEQUENTIAL_K = 7     # one-shot scan is practical up to here; k=8 needs partitioned runs
-_KEY_SENTINEL = np.iinfo(np.int64).max
+_KEY_SENTINEL = np.iinfo(np.uint32).max  # witness keys are < 8^8 = 2^24
+
+# Record layout, one little-endian u64 per bit vector: bits 0-13 canonical id,
+# bit 14 connected flag, bits 16-39 witness permutation at 3 bits per node
+# (node u's image in bits 16+3u..18+3u), all other bits zero.
+RECORD_DTYPE = np.dtype("<u8")
+CANONICAL_ID_BITS = 14
+CONNECTED_BIT = 14
+WITNESS_SHIFT = 16
+ID_MASK = (1 << CANONICAL_ID_BITS) - 1
+WITNESS_MASK = (1 << 24) - 1
+
+
+def pack_record(canonical_id: int, connected: bool, witness_packed: int) -> int:
+    """Assemble one 8-byte record value from its fields."""
+    if not 0 <= canonical_id <= ID_MASK:
+        raise ValueError(f"canonical id {canonical_id} does not fit {CANONICAL_ID_BITS} bits")
+    if not 0 <= witness_packed <= WITNESS_MASK:
+        raise ValueError(f"witness {witness_packed:#x} does not fit 24 bits")
+    return canonical_id | (int(connected) << CONNECTED_BIT) | (witness_packed << WITNESS_SHIFT)
+
+
+def unpack_record(value: int) -> tuple[int, bool, int]:
+    """Split a record value into (canonical_id, connected, witness_packed)."""
+    return (
+        value & ID_MASK,
+        bool(value >> CONNECTED_BIT & 1),
+        value >> WITNESS_SHIFT & WITNESS_MASK,
+    )
 
 
 @dataclass
 class CanonicalCatalog:
     """Ascending canonical bit vectors for one k, with per-canonical metadata.
 
-    orbit_labels stays None until the orbit pass fills it; entry c is a
-    k-tuple giving, for each node of canonical c, the minimum node index of
-    its automorphism orbit.
+    Entry c of orbit_labels is a k-tuple giving, for each node of canonical c,
+    the minimum node index of its automorphism orbit.  Built catalogs always
+    carry it; None marks a catalog assembled without orbits.
     """
 
     k: int
@@ -61,21 +95,33 @@ class CanonicalCatalog:
 
 @dataclass
 class LookupTable:
-    """Dense map from every k-node bit vector to its canonical record.
+    """Dense map from every k-node bit vector to its packed record.
 
-    witness is packed 3 bits per node: node u's image sits in bits 3u..3u+2.
+    records is the table file's record section as it is stored.  The
+    canonical_id, witness and connected properties decode one field of the
+    whole table; per-query code indexes records and decodes only what it reads.
     """
 
     k: int
-    canonical_id: np.ndarray
-    witness: np.ndarray
-    connected: np.ndarray
+    records: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.canonical_id)
+        return len(self.records)
+
+    @property
+    def canonical_id(self) -> np.ndarray:
+        return (self.records & ID_MASK).astype(np.int32)
+
+    @property
+    def witness(self) -> np.ndarray:
+        return (self.records >> WITNESS_SHIFT & WITNESS_MASK).astype(np.uint32)
+
+    @property
+    def connected(self) -> np.ndarray:
+        return (self.records >> CONNECTED_BIT & 1).astype(bool)
 
     def witness_permutation(self, bits: int) -> Permutation:
-        w = int(self.witness[bits])
+        w = unpack_record(self.records.item(bits))[2]
         return Permutation(tuple(w >> 3 * u & 7 for u in range(self.k)))
 
 
@@ -86,14 +132,20 @@ class SiftPartition:
     temp_canonicals holds the lowest member of each class local to the range;
     tc_index[b - lo] points at the temp canonical of member b, and
     witness_key[b - lo] is the lexicographic key of the least permutation
-    sending b onto that temp canonical.
+    sending b onto that temp canonical.  For every temp canonical,
+    temp_minima holds the least of its k! relabelings (its global canonical)
+    and temp_witness the least permutation onto it.  automorphisms holds the
+    automorphism rows of each temp canonical that is its own minimum, in
+    temp order.
     """
 
     k: int
     lo: int
     hi: int
     temp_canonicals: np.ndarray
-    temp_connected: np.ndarray
+    temp_minima: np.ndarray
+    temp_witness: np.ndarray
+    automorphisms: list[np.ndarray]
     tc_index: np.ndarray
     witness_key: np.ndarray
 
@@ -162,46 +214,30 @@ def are_isomorphic(g: Graphette, h: Graphette) -> Permutation | None:
 
 
 @lru_cache(maxsize=None)
-def _perm_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All k! permutations plus the lexicographic key of each one's inverse.
+def _perm_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All k! permutations in lexicographic order, the key of each one's
+    inverse, and each edge's image bit under each permutation.
 
     Keys order mappings with node 0's image most significant (base 8 digits,
     valid for k <= 8), so the minimum key is the lexicographically least
-    mapping.
+    mapping, and the first of several rows is the least of them.  Row
+    p(i, j) of the edge table holds 1 << p(perm[i], perm[j]) for every perm.
     """
     perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
     perms = perms.reshape(-1, k)
     inverse = np.empty_like(perms)
     inverse[np.arange(len(perms))[:, None], perms] = np.arange(k, dtype=np.int64)
-    weights = _lex_weights(k)
-    return perms, inverse @ weights
+    edge_images = np.empty((bit_length(k), len(perms)), dtype=np.int64)
+    for i in range(1, k):
+        for j in range(i):
+            hi = np.maximum(perms[:, i], perms[:, j])
+            lo = np.minimum(perms[:, i], perms[:, j])
+            edge_images[i * (i - 1) // 2 + j] = np.int64(1) << (hi * (hi - 1) // 2 + lo)
+    return perms, (inverse @ _lex_weights(k)).astype(np.uint32), edge_images
 
 
 def _lex_weights(k: int) -> np.ndarray:
     return np.array([8 ** (k - 1 - u) for u in range(k)], dtype=np.int64)
-
-
-def _permutation_images(perms: np.ndarray, bits: int, k: int) -> np.ndarray:
-    """Bit vectors of the graphette relabeled by every permutation row."""
-    out = np.zeros(len(perms), dtype=np.int64)
-    for i in range(1, k):
-        base = i * (i - 1) // 2
-        for j in range(i):
-            if bits >> (base + j) & 1:
-                a, b = perms[:, i], perms[:, j]
-                hi = np.maximum(a, b)
-                lo = np.minimum(a, b)
-                out |= np.int64(1) << (hi * (hi - 1) // 2 + lo)
-    return out
-
-
-def _keys_to_packed(keys: np.ndarray, k: int) -> np.ndarray:
-    """Convert lexicographic witness keys to the 3-bits-per-node packing."""
-    packed = np.zeros(len(keys), dtype=np.uint32)
-    for u in range(k):
-        digit = (keys // 8 ** (k - 1 - u)) % 8
-        packed |= digit.astype(np.uint32) << np.uint32(3 * u)
-    return packed
 
 
 def _next_unmarked(marks: np.ndarray, start: int) -> int:
@@ -224,72 +260,33 @@ def _check_build_k(k: int, limit: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# one-shot builder
-
-
-def build_canonical_map_sequential(k: int) -> tuple[CanonicalCatalog, LookupTable]:
-    """Scan all 2^b(k) bit vectors in ascending order and classify them.
-
-    Each time the scan reaches a bit vector not yet claimed by an earlier
-    class, that vector is the lowest member of a new class and becomes its
-    canonical; all k! relabelings of it are then marked in one vectorized
-    pass, recording for every image the least witness permutation back onto
-    the canonical.
-    """
-    _check_build_k(k, MAX_SEQUENTIAL_K)
-    size = 1 << bit_length(k)
-    perms, inv_keys = _perm_tables(k)
-
-    canon_id = np.full(size, -1, dtype=np.int32)
-    wit_key = np.full(size, _KEY_SENTINEL, dtype=np.int64)
-    canonicals: list[int] = []
-    conn_flags: list[bool] = []
-
-    cursor = 0
-    while True:
-        cursor = _next_unmarked(canon_id, cursor)
-        if cursor >= size:
-            break
-        cid = len(canonicals)
-        images = _permutation_images(perms, cursor, k)
-        canon_id[images] = cid
-        np.minimum.at(wit_key, images, inv_keys)
-        canonicals.append(cursor)
-        conn_flags.append(is_connected(Graphette(k, cursor)))
-
-    canon_arr = np.array(canonicals, dtype=np.int64)
-    conn_arr = np.array(conn_flags, dtype=bool)
-    table = LookupTable(
-        k=k,
-        canonical_id=canon_id,
-        witness=_keys_to_packed(wit_key, k),
-        connected=conn_arr[canon_id],
-    )
-    return CanonicalCatalog(k, canon_arr, conn_arr), table
-
-
-# ---------------------------------------------------------------------------
-# partitioned builder
+# the sweep
 
 
 def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
     """Classify one contiguous range of bit vectors in isolation.
 
-    Same ascending sweep as the one-shot builder, except relabelings that
-    fall outside [lo, hi) are ignored; the lowest member of each class
-    within the range becomes its temporary canonical.
+    The range is scanned in ascending order.  Each time the scan reaches a
+    bit vector not yet claimed, that vector is the lowest in-range member of
+    a new class and becomes its temporary canonical; all k! relabelings of
+    it are computed in one vectorized pass.  Those inside [lo, hi) are
+    marked with the least witness back onto the temp canonical; the least of
+    all of them is the class's global canonical.
     """
     _check_build_k(k, MAX_BUILD_K)
     size = 1 << bit_length(k)
     if not (0 <= lo < hi <= size):
         raise ValueError(f"empty or out-of-range partition [{lo}, {hi}) for k={k}")
-    perms, inv_keys = _perm_tables(k)
+    perms, inv_keys, edge_images = _perm_tables(k)
+    edge_bits = np.arange(bit_length(k))
 
     span = hi - lo
     tc_index = np.full(span, -1, dtype=np.int32)
-    wit_key = np.full(span, _KEY_SENTINEL, dtype=np.int64)
+    wit_key = np.full(span, _KEY_SENTINEL, dtype=np.uint32)
     temps: list[int] = []
-    temp_conn: list[bool] = []
+    minima: list[int] = []
+    onto_min: list[np.ndarray] = []
+    auts: list[np.ndarray] = []
 
     cursor = 0
     while True:
@@ -297,21 +294,28 @@ def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
         if cursor >= span:
             break
         bits = lo + cursor
-        tid = len(temps)
-        images = _permutation_images(perms, bits, k)
+        # the graphette relabeled by every permutation
+        images = np.bitwise_or.reduce(edge_images[bits >> edge_bits & 1 == 1], axis=0)
         inside = (images >= lo) & (images < hi)
         local = images[inside] - lo
-        tc_index[local] = tid
+        tc_index[local] = len(temps)
         np.minimum.at(wit_key, local, inv_keys[inside])
+        low = int(images.min())
+        onto = perms[images == low]          # every mapping onto the minimum, least first
         temps.append(bits)
-        temp_conn.append(is_connected(Graphette(k, bits)))
+        minima.append(low)
+        onto_min.append(onto[0])
+        if low == bits:
+            auts.append(onto)
 
     return SiftPartition(
         k=k,
         lo=lo,
         hi=hi,
         temp_canonicals=np.array(temps, dtype=np.int64),
-        temp_connected=np.array(temp_conn, dtype=bool),
+        temp_minima=np.array(minima, dtype=np.int64),
+        temp_witness=np.array(onto_min, dtype=np.int64),
+        automorphisms=auts,
         tc_index=tc_index,
         witness_key=wit_key,
     )
@@ -343,80 +347,55 @@ def _validate_tiling(parts: Sequence[SiftPartition]) -> list[SiftPartition]:
 def merge_siftings(parts: Sequence[SiftPartition]) -> tuple[CanonicalCatalog, LookupTable]:
     """Fuse per-range siftings into the global catalog and lookup table.
 
-    Temporary canonicals are revisited in ascending numeric order; the first
-    unclaimed one in each isomorphism class is the global canonical (the
-    class's lowest member always survives its own range, so it is present).
-    Every record's witness is then the composition member->temp->canonical,
-    minimized over the canonical's automorphisms so the stored bytes match a
-    one-shot build exactly.
+    The canonicals are the temp canonicals that are their own minimum (the
+    class's lowest member always survives its own range).  A member of
+    such a temp already holds its least witness.  A member of any other temp
+    gets the composition member->temp->canonical, minimized over the
+    canonical's automorphisms, so the stored bytes match a one-shot build.
+    Node u's orbit label is the least image of u under the automorphisms.
     """
     ordered = _validate_tiling(parts)
     k = ordered[0].k
-    size = 1 << bit_length(k)
-    perms, inv_keys = _perm_tables(k)
     weights = _lex_weights(k)
+    digit_shifts = 3 * np.arange(k - 1, -1, -1, dtype=np.uint32)
 
-    all_temps = np.concatenate([p.temp_canonicals for p in ordered])
-    all_temp_conn = np.concatenate([p.temp_connected for p in ordered])
-    temp_offsets = np.cumsum([0] + [len(p.temp_canonicals) for p in ordered])
+    temps = np.concatenate([p.temp_canonicals for p in ordered])
+    minima = np.concatenate([p.temp_minima for p in ordered])
     # ranges are ascending and temps ascend within each range
-    temp_cid = np.full(len(all_temps), -1, dtype=np.int32)
-    temp_wit = np.empty((len(all_temps), k), dtype=np.int64)
+    canonicals = temps[minima == temps]
+    auts = [a for p in ordered for a in p.automorphisms]
+    connected = np.array([is_connected(Graphette(k, int(c))) for c in canonicals], dtype=bool)
+    temp_cid = np.searchsorted(canonicals, minima)
+    temp_low = temp_cid.astype(np.uint64) | connected[temp_cid].astype(np.uint64) << CONNECTED_BIT
 
-    canonicals: list[int] = []
-    conn_flags: list[bool] = []
-    canonical_auts: list[np.ndarray] = []
+    records = np.empty(1 << bit_length(k), dtype=RECORD_DTYPE)
+    base = 0
+    for part in ordered:
+        cids = temp_cid[base:base + len(part.temp_canonicals)]
+        keys = part.witness_key.copy()
+        # members whose temp is not a canonical, grouped by temp
+        moved = np.flatnonzero((part.temp_minima != part.temp_canonicals)[part.tc_index])
+        moved = moved[np.argsort(part.tc_index[moved], kind="stable")]
+        tids, starts = np.unique(part.tc_index[moved], return_index=True)
+        for tid, start, stop in zip(tids, starts, [*starts[1:], len(moved)]):
+            members = moved[start:stop]
+            member_perm = keys[members, None] >> digit_shifts & 7          # (m, k)
+            # every mapping onto the canonical: aut ∘ (temp->canonical) ∘ (member->temp)
+            lifted = auts[cids[tid]][:, part.temp_witness[tid]]            # (A, k)
+            keys[members] = (lifted[:, member_perm] @ weights).min(axis=0)
 
-    for slot in range(len(all_temps)):
-        if temp_cid[slot] != -1:
-            continue
-        bits = int(all_temps[slot])
-        cid = len(canonicals)
-        images = _permutation_images(perms, bits, k)
-        pos = np.searchsorted(all_temps, images)
-        hit = (pos < len(all_temps)) & (all_temps[np.minimum(pos, len(all_temps) - 1)] == images)
-        hit_slots = pos[hit]
-        best = np.full(len(all_temps), _KEY_SENTINEL, dtype=np.int64)
-        np.minimum.at(best, hit_slots, inv_keys[hit])
-        touched = np.unique(hit_slots)
-        temp_cid[touched] = cid
-        keys = best[touched]
-        for u in range(k):
-            temp_wit[touched, u] = (keys // 8 ** (k - 1 - u)) % 8
-        canonicals.append(bits)
-        canonical_auts.append(np.ascontiguousarray(perms[images == bits]))
-        conn_flags.append(bool(all_temp_conn[slot]))
+        out = records[part.lo:part.hi]
+        np.take(temp_low[base:base + len(cids)], part.tc_index, out=out, mode="clip")
+        digit = np.empty(len(out), dtype=np.uint64)
+        for u, shift in enumerate(digit_shifts):
+            np.right_shift(keys, shift, out=digit)
+            digit &= 7
+            digit <<= WITNESS_SHIFT + 3 * u
+            out |= digit
+        base += len(cids)
 
-    canon_arr = np.array(canonicals, dtype=np.int64)
-    conn_arr = np.array(conn_flags, dtype=bool)
-
-    canon_id = np.empty(size, dtype=np.int32)
-    wit_packed = np.empty(size, dtype=np.uint32)
-    for pi, part in enumerate(ordered):
-        base = temp_offsets[pi]
-        slots = base + part.tc_index.astype(np.int64)
-        canon_id[part.lo:part.hi] = temp_cid[slots]
-        # witness = min over Aut(canonical) of  aut ∘ (temp->canonical) ∘ (member->temp)
-        member_perm = np.empty((part.hi - part.lo, k), dtype=np.int64)
-        for u in range(k):
-            member_perm[:, u] = (part.witness_key // 8 ** (k - 1 - u)) % 8
-        out_keys = np.empty(part.hi - part.lo, dtype=np.int64)
-        for tid in range(len(part.temp_canonicals)):
-            members = np.flatnonzero(part.tc_index == tid)
-            slot = base + tid
-            cid = temp_cid[slot]
-            lifted = canonical_auts[cid][:, temp_wit[slot]]      # (A, k): aut ∘ temp witness
-            cand = lifted[:, member_perm[members]]               # (A, m, k)
-            out_keys[members] = (cand @ weights).min(axis=0)
-        wit_packed[part.lo:part.hi] = _keys_to_packed(out_keys, k)
-
-    table = LookupTable(
-        k=k,
-        canonical_id=canon_id,
-        witness=wit_packed,
-        connected=conn_arr[canon_id],
-    )
-    return CanonicalCatalog(k, canon_arr, conn_arr), table
+    labels = [tuple(a.min(axis=0).tolist()) for a in auts]
+    return CanonicalCatalog(k, canonicals, connected, labels), LookupTable(k, records)
 
 
 def partition_ranges(k: int, m: int) -> list[tuple[int, int]]:
@@ -434,8 +413,8 @@ def build_canonical_map_parallel(
 ) -> tuple[CanonicalCatalog, LookupTable]:
     """Sift m bit-vector ranges (concurrently when workers > 1) and merge.
 
-    Output is identical to the one-shot builder regardless of m, worker
-    count, or completion order.
+    Output is identical for every m, worker count and completion order;
+    m=1 is the one-shot build.
     """
     _check_build_k(k, MAX_BUILD_K)
     ranges = partition_ranges(k, m)
@@ -445,6 +424,12 @@ def build_canonical_map_parallel(
     else:
         parts = [sift_partition(k, lo, hi) for lo, hi in ranges]
     return merge_siftings(parts)
+
+
+def build_canonical_map_sequential(k: int) -> tuple[CanonicalCatalog, LookupTable]:
+    """The one-shot build: the whole bit-vector space as one sifted range (k <= 7)."""
+    _check_build_k(k, MAX_SEQUENTIAL_K)
+    return build_canonical_map_parallel(k, 1)
 
 
 def _sift_range(args: tuple[int, int, int]) -> SiftPartition:

@@ -14,7 +14,7 @@ from contextlib import ExitStack
 
 from . import canon, sampler, store
 from .core import Graphette, bit_length, decode, encode
-from .orbits import orbit_partition
+from .orbits import OrbitPartition
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -128,9 +128,9 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         out = _open_out(stack, args.out)
         total = 0
         lines = []
-        for cid in range(len(catalog)):
+        for cid, labels in enumerate(catalog.orbit_labels):
             g = catalog.graphette(cid)
-            part = orbit_partition(g)
+            part = OrbitPartition(g, labels, len(set(labels)))
             total += part.orbit_count
             edges = ",".join(f"{i}-{j}" for i, j in sorted(decode(g)))
             groups = ";".join(" ".join(map(str, grp)) for grp in part.groups())

@@ -4,6 +4,9 @@ The orbit pipeline: enumerate every automorphism of a graphette, split each
 one into its node cycles, then repeatedly recolor each cycle with its
 minimum current color until stable.  Nodes sharing a final color form one
 orbit, and the color itself is the orbit's minimum node index.
+
+Table builds read their orbit labels off the automorphisms their own sweep
+finds (canon.merge_siftings); this pipeline is the independent reference.
 """
 
 from __future__ import annotations
@@ -130,7 +133,10 @@ def orbit_partition(g: Graphette) -> OrbitPartition:
 
 
 def compute_orbit_partitions(catalog: CanonicalCatalog) -> None:
-    """Fill catalog.orbit_labels with the orbit partition of every canonical."""
+    """Fill catalog.orbit_labels with the orbit partition of every canonical.
+
+    The reference for the labels a build already carries.
+    """
     labels = []
     for cid in range(len(catalog)):
         labels.append(orbit_partition(catalog.graphette(cid)).orbit_of)

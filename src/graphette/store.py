@@ -8,13 +8,15 @@ File layout (little-endian throughout):
              | global orbit base u32
     records  2^b(k) fixed 8-byte records
 
-Record packing: bits 0-13 canonical id, bit 14 connected flag, bits 16-39
-witness permutation at 3 bits per node (node u's image in bits 16+3u..18+3u),
-all other bits zero.
+The record section is a LookupTable's records array byte for byte (the bit
+layout sits beside LookupTable in canon): saving writes it as held, loading
+reads it straight into a numpy array, and queries decode only the records
+they index.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 from os import PathLike
@@ -22,24 +24,27 @@ from typing import BinaryIO, Union
 
 import numpy as np
 
+# pack_record and unpack_record live beside the record layout in canon and
+# stay importable from here.
 from .canon import (
-    MAX_SEQUENTIAL_K,
+    CANONICAL_ID_BITS,
+    ID_MASK,
+    RECORD_DTYPE,
+    WITNESS_SHIFT,
     CanonicalCatalog,
     LookupTable,
     build_canonical_map_parallel,
-    build_canonical_map_sequential,
+    pack_record,
+    unpack_record,
 )
 from .core import Graphette, Permutation, bit_length
-from .orbits import GlobalOrbitIndex, assign_global_orbit_ids, compute_orbit_partitions
+from .orbits import GlobalOrbitIndex, assign_global_orbit_ids
 
 MAGIC = b"GRAPHETTE1"
 LAYOUT_TAG = b"lower-triangle-lsb"
 FORMAT_VERSION = 1
 HEADER_SIZE = len(MAGIC) + 1 + 1 + 4 + 4 + len(LAYOUT_TAG)  # 38 bytes
-RECORD_SIZE = 8
-CANONICAL_ID_BITS = 14
-CONNECTED_BIT = 14
-WITNESS_SHIFT = 16
+RECORD_SIZE = RECORD_DTYPE.itemsize
 MAX_FILE_K = 8  # 3-bit node images in the witness field cap the format at k=8
 
 Destination = Union[str, PathLike, BinaryIO]
@@ -73,8 +78,14 @@ class TruncatedFileError(LengthMismatchError):
     pass
 
 
+def catalog_dtype(k: int) -> np.dtype:
+    """One packed catalog entry: bits u64 | connected u8 | k labels u8 | orbit base u32."""
+    return np.dtype([("bits", "<u8"), ("connected", "u1"), ("labels", "u1", (k,)),
+                     ("base", "<u4")])
+
+
 def catalog_entry_size(k: int) -> int:
-    return 8 + 1 + k + 4
+    return catalog_dtype(k).itemsize
 
 
 def expected_file_size(k: int, canonical_count: int) -> int:
@@ -83,24 +94,6 @@ def expected_file_size(k: int, canonical_count: int) -> int:
         HEADER_SIZE
         + canonical_count * catalog_entry_size(k)
         + (1 << bit_length(k)) * RECORD_SIZE
-    )
-
-
-def pack_record(canonical_id: int, connected: bool, witness_packed: int) -> int:
-    """Assemble one 8-byte record value from its fields."""
-    if not 0 <= canonical_id < (1 << CANONICAL_ID_BITS):
-        raise ValueError(f"canonical id {canonical_id} does not fit {CANONICAL_ID_BITS} bits")
-    if not 0 <= witness_packed < (1 << 24):
-        raise ValueError(f"witness {witness_packed:#x} does not fit 24 bits")
-    return canonical_id | (int(connected) << CONNECTED_BIT) | (witness_packed << WITNESS_SHIFT)
-
-
-def unpack_record(value: int) -> tuple[int, bool, int]:
-    """Split a record value into (canonical_id, connected, witness_packed)."""
-    return (
-        value & ((1 << CANONICAL_ID_BITS) - 1),
-        bool(value >> CONNECTED_BIT & 1),
-        value >> WITNESS_SHIFT & 0xFFFFFF,
     )
 
 
@@ -142,129 +135,97 @@ def serialize(
         + struct.pack("<II", len(catalog), orbit_index.total_orbits)
         + LAYOUT_TAG
     )
-    chunks = [header]
-    for cid in range(len(catalog)):
-        chunks.append(struct.pack("<Q", int(catalog.canonicals[cid])))
-        chunks.append(struct.pack("<B", int(catalog.connected[cid])))
-        chunks.append(bytes(catalog.orbit_labels[cid]))
-        chunks.append(struct.pack("<I", int(orbit_index.bases[cid])))
-    records = (
-        table.canonical_id.astype(np.uint64)
-        | (table.connected.astype(np.uint64) << np.uint64(CONNECTED_BIT))
-        | (table.witness.astype(np.uint64) << np.uint64(WITNESS_SHIFT))
-    )
-    chunks.append(records.astype("<u8").tobytes())
-    blob = b"".join(chunks)
+    entries = np.empty(len(catalog), dtype=catalog_dtype(k))
+    entries["bits"] = catalog.canonicals
+    entries["connected"] = catalog.connected
+    entries["labels"] = catalog.orbit_labels
+    entries["base"] = orbit_index.bases
+    records = np.ascontiguousarray(table.records, dtype=RECORD_DTYPE)
     if hasattr(destination, "write"):
-        destination.write(blob)
+        _write(destination, header, entries, records)
     else:
         with open(destination, "wb") as fh:
-            fh.write(blob)
+            _write(fh, header, entries, records)
+
+
+def _write(fh: BinaryIO, header: bytes, entries: np.ndarray, records: np.ndarray) -> None:
+    fh.write(header + entries.tobytes())
+    fh.write(memoryview(records).cast("B"))
 
 
 def deserialize(source: Destination) -> tuple[CanonicalCatalog, LookupTable, GlobalOrbitIndex]:
     """Read a table file back into its three structures, validating layout."""
     if hasattr(source, "read"):
-        data = source.read()
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
+        return _read(source)
+    with open(source, "rb") as fh:
+        return _read(fh)
 
-    if len(data) < len(MAGIC):
+
+def _read(fh: BinaryIO) -> tuple[CanonicalCatalog, LookupTable, GlobalOrbitIndex]:
+    start = fh.tell()
+    size = fh.seek(0, io.SEEK_END) - start  # every length check runs before the big reads
+    fh.seek(start)
+    header = fh.read(HEADER_SIZE)
+
+    if size < len(MAGIC):
         raise TruncatedFileError(
-            f"file ends inside magic: {len(data)} bytes, need {len(MAGIC)}"
+            f"file ends inside magic: {size} bytes, need {len(MAGIC)}"
         )
-    if data[: len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"bad magic {data[:len(MAGIC)]!r} at offset 0")
-    if len(data) < HEADER_SIZE:
+    if header[: len(MAGIC)] != MAGIC:
+        raise BadMagicError(f"bad magic {header[:len(MAGIC)]!r} at offset 0")
+    if size < HEADER_SIZE:
         raise TruncatedFileError(
-            f"file ends inside header at offset {len(data)}, need {HEADER_SIZE}"
+            f"file ends inside header at offset {size}, need {HEADER_SIZE}"
         )
-    version, k = struct.unpack_from("<BB", data, len(MAGIC))
+    version, k = struct.unpack_from("<BB", header, len(MAGIC))
     if version != FORMAT_VERSION:
         raise VersionMismatchError(
             f"format version {version} at offset {len(MAGIC)}, expected {FORMAT_VERSION}"
         )
     if not 1 <= k <= MAX_FILE_K:
         raise HeaderFieldError(f"unsupported k={k} at offset {len(MAGIC) + 1}")
-    nc, total_orbits = struct.unpack_from("<II", data, len(MAGIC) + 2)
+    nc, total_orbits = struct.unpack_from("<II", header, len(MAGIC) + 2)
     tag_off = len(MAGIC) + 10
-    tag = data[tag_off : tag_off + len(LAYOUT_TAG)]
+    tag = header[tag_off : tag_off + len(LAYOUT_TAG)]
     if tag != LAYOUT_TAG:
         raise LayoutMismatchError(
             f"layout tag {tag!r} at offset {tag_off}, expected {LAYOUT_TAG!r}"
         )
 
-    entry_size = catalog_entry_size(k)
-    catalog_end = HEADER_SIZE + nc * entry_size
+    entry_type = catalog_dtype(k)
+    catalog_end = HEADER_SIZE + nc * entry_type.itemsize
     record_count = 1 << bit_length(k)
     expected = expected_file_size(k, nc)
-    if len(data) < catalog_end:
+    if size < catalog_end:
         raise TruncatedFileError(
-            f"catalog section truncated at offset {len(data)}: "
+            f"catalog section truncated at offset {size}: "
             f"expected {nc} entries ending at {catalog_end}"
         )
-    if len(data) < expected:
+    if size < expected:
         raise TruncatedFileError(
-            f"record section truncated at offset {len(data)}: "
+            f"record section truncated at offset {size}: "
             f"expected {record_count} records ending at {expected}"
         )
-    if len(data) > expected:
+    if size > expected:
         raise LengthMismatchError(
-            f"{len(data) - expected} trailing bytes after offset {expected}"
+            f"{size - expected} trailing bytes after offset {expected}"
         )
 
-    canonicals = np.empty(nc, dtype=np.int64)
-    connected = np.empty(nc, dtype=bool)
-    labels: list[tuple[int, ...]] = []
-    bases = np.empty(nc, dtype=np.int64)
-    off = HEADER_SIZE
-    for cid in range(nc):
-        canonicals[cid] = struct.unpack_from("<Q", data, off)[0]
-        connected[cid] = data[off + 8]
-        labels.append(tuple(data[off + 9 : off + 9 + k]))
-        bases[cid] = struct.unpack_from("<I", data, off + 9 + k)[0]
-        off += entry_size
-    catalog = CanonicalCatalog(k, canonicals, connected, labels)
-
-    records = np.frombuffer(data, dtype="<u8", count=record_count, offset=catalog_end)
-    table = LookupTable(
-        k=k,
-        canonical_id=(records & np.uint64((1 << CANONICAL_ID_BITS) - 1)).astype(np.int32),
-        witness=(records >> np.uint64(WITNESS_SHIFT)).astype(np.uint32) & np.uint32(0xFFFFFF),
-        connected=(records >> np.uint64(CONNECTED_BIT) & np.uint64(1)).astype(bool),
+    entries = np.frombuffer(fh.read(catalog_end - HEADER_SIZE), dtype=entry_type)
+    labels = [tuple(row) for row in entries["labels"].tolist()]
+    catalog = CanonicalCatalog(
+        k, entries["bits"].astype(np.int64), entries["connected"].astype(bool), labels
     )
+    records = np.empty(record_count, dtype=RECORD_DTYPE)
+    fh.readinto(memoryview(records).cast("B"))
     orbit_index = assign_global_orbit_ids(catalog)
-    if orbit_index.total_orbits != total_orbits or not np.array_equal(orbit_index.bases, bases):
+    if orbit_index.total_orbits != total_orbits or not np.array_equal(
+        orbit_index.bases, entries["base"]
+    ):
         raise HeaderFieldError(
             "orbit numbering in file disagrees with its own orbit partitions"
         )
-    return catalog, table, orbit_index
-
-
-def query(table: LookupTable, g: Graphette) -> tuple[int, Permutation, bool]:
-    """Record for g: (canonical id, witness onto the canonical, connected)."""
-    if g.k != table.k:
-        raise ValueError(f"graphette k={g.k} does not match table k={table.k}")
-    cid = int(table.canonical_id[g.bits])
-    return cid, table.witness_permutation(g.bits), bool(table.connected[g.bits])
-
-
-def node_orbit(
-    catalog: CanonicalCatalog,
-    table: LookupTable,
-    orbit_index: GlobalOrbitIndex,
-    g: Graphette,
-    u: int,
-) -> int:
-    """Global orbit id of node u inside graphette g, in O(1)."""
-    if not 0 <= u < g.k:
-        raise ValueError(f"node index {u} out of range for k={g.k}")
-    if g.k != table.k:
-        raise ValueError(f"graphette k={g.k} does not match table k={table.k}")
-    cid = int(table.canonical_id[g.bits])
-    pos = int(table.witness[g.bits]) >> 3 * u & 7
-    return int(orbit_index.bases[cid]) + int(orbit_index.local_ranks[cid, pos])
+    return catalog, LookupTable(k, records), orbit_index
 
 
 @dataclass(frozen=True)
@@ -281,16 +242,8 @@ class TableSet:
 
     @classmethod
     def build(cls, k: int, m: int = 1, workers: int = 1) -> "TableSet":
-        """Build everything for one k (partitioned when m > 1).
-
-        k=8 always goes through the partitioned path; the one-shot scan is
-        bounded to k<=7.
-        """
-        if m == 1 and k <= MAX_SEQUENTIAL_K:
-            catalog, table = build_canonical_map_sequential(k)
-        else:
-            catalog, table = build_canonical_map_parallel(k, m, workers)
-        compute_orbit_partitions(catalog)
+        """Build everything for one k from m sifted ranges (m=1: one-shot)."""
+        catalog, table = build_canonical_map_parallel(k, m, workers)
         return cls(catalog, table, assign_global_orbit_ids(catalog))
 
     @classmethod
@@ -301,10 +254,21 @@ class TableSet:
         serialize(self.catalog, self.table, self.orbits, destination)
 
     def query(self, g: Graphette) -> tuple[int, Permutation, bool]:
-        return query(self.table, g)
+        """Record for g: (canonical id, witness onto the canonical, connected)."""
+        if g.k != self.k:
+            raise ValueError(f"graphette k={g.k} does not match table k={self.k}")
+        cid, connected, _ = unpack_record(self.table.records.item(g.bits))
+        return cid, self.table.witness_permutation(g.bits), connected
 
     def node_orbit(self, g: Graphette, u: int) -> int:
-        return node_orbit(self.catalog, self.table, self.orbits, g, u)
+        """Global orbit id of node u inside graphette g, in O(1)."""
+        if not 0 <= u < g.k:
+            raise ValueError(f"node index {u} out of range for k={g.k}")
+        if g.k != self.k:
+            raise ValueError(f"graphette k={g.k} does not match table k={self.k}")
+        cid, _, witness = unpack_record(self.table.records.item(g.bits))
+        pos = witness >> 3 * u & 7
+        return self.orbits.bases.item(cid) + self.orbits.local_ranks.item(cid, pos)
 
     def identify(self, bits: int) -> tuple[int, tuple[int, ...]]:
         """Canonical id plus the global orbit id at every node position."""
@@ -317,8 +281,9 @@ class TableSet:
         Node u of a graphette sits at position (witness >> 3u) & 7 of its
         canonical, whose orbit there is bases[cid] + local_ranks[cid, pos].
         """
-        cids = self.table.canonical_id[bits]
-        shifts = 3 * np.arange(self.k, dtype=np.uint32)
-        pos = self.table.witness[bits][:, None] >> shifts & np.uint32(7)
+        records = self.table.records[bits]
+        cids = (records & ID_MASK).astype(np.intp)
+        shifts = WITNESS_SHIFT + 3 * np.arange(self.k, dtype=np.uint64)
+        pos = (records[:, None] >> shifts & 7).astype(np.intp)
         orbit_ids = self.orbits.bases[cids][:, None] + self.orbits.local_ranks[cids[:, None], pos]
         return cids, orbit_ids

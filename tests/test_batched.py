@@ -1,7 +1,7 @@
 """The batched identification path against the one-sample reference chain.
 
-induced_bits (per-node binary searches) and the module-level node_orbit
-decode are the references; induced_bits_batch, TableSet.identify_batch and
+induced_bits (per-node binary searches) and TableSet.node_orbit (one
+record decoded per call) are the references; induced_bits_batch, TableSet.identify_batch and
 SampleAccumulator.add_batch must reproduce them exactly.
 """
 

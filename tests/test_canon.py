@@ -181,15 +181,16 @@ def test_lookup_invariant_under_permutation():
 def test_lookup_invariance_spot_checks_k7():
     catalog, table = build_canonical_map_sequential(7)
     assert len(catalog) == 1044
+    canonical_id = table.canonical_id
     rng = random.Random(73)
     for _ in range(2000):
         bits = rng.randrange(1 << bit_length(7))
         p = random_permutation(rng, 7)
         image = apply_permutation(Graphette(7, bits), p)
-        assert table.canonical_id[image.bits] == table.canonical_id[bits]
+        assert canonical_id[image.bits] == canonical_id[bits]
         w = table.witness_permutation(bits)
         out = apply_permutation(Graphette(7, bits), w)
-        assert out.bits == int(catalog.canonicals[table.canonical_id[bits]])
+        assert out.bits == int(catalog.canonicals[canonical_id[bits]])
 
 
 def test_sequential_k_bounds():

@@ -4,7 +4,11 @@ import random
 
 import pytest
 
-from graphette.canon import build_canonical_map_sequential
+from graphette.canon import (
+    CanonicalCatalog,
+    build_canonical_map_parallel,
+    build_canonical_map_sequential,
+)
 from graphette.core import (
     Graphette,
     Permutation,
@@ -243,6 +247,16 @@ def test_orbits_invariant_under_complement():
             assert orbit_partition(g).orbit_of == orbit_partition(complement(g)).orbit_of
 
 
+@pytest.mark.parametrize("k,m", [(k, 1) for k in range(1, 7)] + [(6, 7), (6, 16)])
+def test_builder_orbit_labels_match_orbit_partition(k, m):
+    # the builder reads orbits off the sweep's automorphisms; orbit_partition
+    # backtracks over the automorphism group independently
+    catalog, _ = build_canonical_map_parallel(k, m)
+    assert len(catalog.orbit_labels) == len(catalog)
+    for cid, labels in enumerate(catalog.orbit_labels):
+        assert labels == orbit_partition(catalog.graphette(cid)).orbit_of
+
+
 # --- global orbit ids --------------------------------------------------------
 
 
@@ -276,6 +290,7 @@ def test_global_ids_consecutive():
 
 
 def test_assign_requires_partitions():
-    catalog, _ = build_canonical_map_sequential(3)
+    built, _ = build_canonical_map_sequential(3)
+    catalog = CanonicalCatalog(3, built.canonicals, built.connected, orbit_labels=None)
     with pytest.raises(ValueError):
         assign_global_orbit_ids(catalog)

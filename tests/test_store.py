@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import random
@@ -20,9 +21,7 @@ from graphette.store import (
     catalog_entry_size,
     deserialize,
     expected_file_size,
-    node_orbit,
     pack_record,
-    query,
     serialize,
     unpack_record,
 )
@@ -104,6 +103,24 @@ def test_file_determinism_across_builds():
     assert table_bytes(a) == table_bytes(b)
 
 
+# sha256 of the table files built before the builder became one sweep
+PINNED_SHA256 = {
+    1: "43c13a9db91f8f1eb975d51de7341061ff58392e23247a6ead7fa566f7124a82",
+    2: "773270bc03574bac674aaa2b85475ff8debf0e14d2b4af864cd6da198f8e5561",
+    3: "751ecfdb35d11f2cd706b9c15f8ab81758d1741b5581b0b04e02f93bf36bc8e4",
+    4: "54446a0a96973a89ec8fbdc481e60bb022b15b0a2189084ddcca7e90abeebbb5",
+    5: "5317236dcfd26c3891151469fb3e60774b79c3b1db9eb6d9b4d6800d8b4fd9f7",
+    6: "56f05de8530e33a45b4a72e57a36958a7a6e9d51ce04d55673b7ea97eb44fca0",
+    7: "ba2a825daae29a5c31d1fc86d06e42aa94027feed61345e0a6c5c24b21f9c9b5",
+}
+
+
+@pytest.mark.parametrize("k,m", [(k, m) for k in range(1, 7) for m in (1, 3, 16)] + [(7, 1)])
+def test_table_bytes_match_pinned_sha256(k, m):
+    blob = table_bytes(TableSet.build(k, m=m))
+    assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256[k]
+
+
 def test_save_load_path(tmp_path, tables3):
     path = tmp_path / "k3.table"
     tables3.save(path)
@@ -181,7 +198,7 @@ def test_serialize_rejects_inconsistent_inputs(tables3, tables4):
 
 def test_query_one_edge(tables3):
     g = Graphette(3, 2)  # edge {2,0}
-    cid, witness, connected = query(tables3.table, g)
+    cid, witness, connected = tables3.query(g)
     assert int(tables3.catalog.canonicals[cid]) == 1  # one-edge canonical
     assert apply_permutation(g, witness).bits == 1
     assert not connected
@@ -190,19 +207,19 @@ def test_query_one_edge(tables3):
 def test_query_canonical_identity_witness(tables3):
     for cid in range(4):
         g = tables3.catalog.graphette(cid)
-        got_cid, witness, _ = query(tables3.table, g)
+        got_cid, witness, _ = tables3.query(g)
         assert got_cid == cid
         assert witness.mapping == (0, 1, 2)
 
 
 def test_query_triangle_connected(tables3):
-    _, _, connected = query(tables3.table, Graphette(3, 7))
+    _, _, connected = tables3.query(Graphette(3, 7))
     assert connected
 
 
 def test_query_k_mismatch(tables3):
     with pytest.raises(ValueError):
-        query(tables3.table, Graphette(4, 0))
+        tables3.query(Graphette(4, 0))
 
 
 # --- node_orbit --------------------------------------------------------------
@@ -238,7 +255,7 @@ def test_node_orbit_range_checks(tables3):
     with pytest.raises(ValueError):
         tables3.node_orbit(Graphette(3, 0), 3)
     with pytest.raises(ValueError):
-        node_orbit(tables3.catalog, tables3.table, tables3.orbits, Graphette(4, 0), 0)
+        tables3.node_orbit(Graphette(4, 0), 0)
 
 
 def test_all_ids_in_range(tables4):
