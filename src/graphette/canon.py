@@ -14,9 +14,11 @@ identity is lexicographically least inside any permutation group.
 Every build is one sweep: contiguous ranges of bit vectors are sifted
 (``sift_partition``) and the ranges merged (``merge_siftings``); the one-shot
 build is the single range [0, 2^b(k)).  The sweep relabels each class's
-lowest in-range member by all k! permutations, which also yields the class's
-global canonical and, for a canonical, its automorphisms; node orbits are
-read off those automorphisms.
+lowest in-range member by all k! permutations, which yields the class's
+global canonical; when that member is not the canonical, the canonical is
+relabeled instead, so every range stores each member's least witness onto
+the global canonical and the merge only assembles records.  The relabelings
+that fix a canonical are its automorphisms; node orbits are read off them.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from .core import (
 MAX_BUILD_K = 8          # b(8)=28 record bits; beyond this the table does not fit the format
 MAX_SEQUENTIAL_K = 7     # one-shot scan is practical up to here; k=8 needs partitioned runs
 _KEY_SENTINEL = np.iinfo(np.uint32).max  # witness keys are < 8^8 = 2^24
+_UNCLAIMED = np.iinfo(np.uint16).max     # tc_index of a vector no class has reached
+_SCAN_CHUNK = 1 << 12                    # entries compared per step of the unclaimed scan
 
 # Record layout, one little-endian u64 per bit vector: bits 0-13 canonical id,
 # bit 14 connected flag, bits 16-39 witness permutation at 3 bits per node
@@ -129,14 +133,13 @@ class LookupTable:
 class SiftPartition:
     """Isomorphism classes of one contiguous bit-vector range [lo, hi).
 
-    temp_canonicals holds the lowest member of each class local to the range;
-    tc_index[b - lo] points at the temp canonical of member b, and
-    witness_key[b - lo] is the lexicographic key of the least permutation
-    sending b onto that temp canonical.  For every temp canonical,
-    temp_minima holds the least of its k! relabelings (its global canonical)
-    and temp_witness the least permutation onto it.  automorphisms holds the
-    automorphism rows of each temp canonical that is its own minimum, in
-    temp order.
+    temp_canonicals holds the lowest member of each class local to the range
+    and temp_minima the class's global canonical (the least of its k!
+    relabelings).  tc_index[b - lo] (uint16) points at the temp canonical of
+    member b, and witness_key[b - lo] is the lexicographic key of the least
+    permutation sending b onto the global canonical: the witness the table
+    stores for b.  automorphisms holds the automorphism rows of each temp
+    canonical that is its own minimum, in temp order.
     """
 
     k: int
@@ -144,7 +147,6 @@ class SiftPartition:
     hi: int
     temp_canonicals: np.ndarray
     temp_minima: np.ndarray
-    temp_witness: np.ndarray
     automorphisms: list[np.ndarray]
     tc_index: np.ndarray
     witness_key: np.ndarray
@@ -241,13 +243,12 @@ def _lex_weights(k: int) -> np.ndarray:
 
 
 def _next_unmarked(marks: np.ndarray, start: int) -> int:
-    """Index of the first -1 entry at or after start, or len(marks)."""
+    """Index of the first unclaimed entry at or after start, or len(marks)."""
     size = len(marks)
-    chunk = 1 << 16
     pos = start
     while pos < size:
-        stop = min(pos + chunk, size)
-        hits = np.flatnonzero(marks[pos:stop] == -1)
+        stop = min(pos + _SCAN_CHUNK, size)
+        hits = np.flatnonzero(marks[pos:stop] == _UNCLAIMED)
         if len(hits):
             return pos + int(hits[0])
         pos = stop
@@ -267,11 +268,12 @@ def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
     """Classify one contiguous range of bit vectors in isolation.
 
     The range is scanned in ascending order.  Each time the scan reaches a
-    bit vector not yet claimed, that vector is the lowest in-range member of
-    a new class and becomes its temporary canonical; all k! relabelings of
-    it are computed in one vectorized pass.  Those inside [lo, hi) are
-    marked with the least witness back onto the temp canonical; the least of
-    all of them is the class's global canonical.
+    bit vector t not yet claimed, t is the lowest in-range member of a new
+    class and becomes its temporary canonical.  All k! relabelings of t are
+    computed in one vectorized pass; their least is the class's global
+    canonical c.  If c differs from t, c is relabeled instead, which yields
+    the same class.  The relabelings inside [lo, hi) are marked with the
+    least witness onto c.
     """
     _check_build_k(k, MAX_BUILD_K)
     size = 1 << bit_length(k)
@@ -280,12 +282,14 @@ def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
     perms, inv_keys, edge_images = _perm_tables(k)
     edge_bits = np.arange(bit_length(k))
 
+    def relabelings(bits: int) -> np.ndarray:
+        return np.bitwise_or.reduce(edge_images[bits >> edge_bits & 1 == 1], axis=0)
+
     span = hi - lo
-    tc_index = np.full(span, -1, dtype=np.int32)
+    tc_index = np.full(span, _UNCLAIMED, dtype=np.uint16)  # < 12,346 classes even at k=8
     wit_key = np.full(span, _KEY_SENTINEL, dtype=np.uint32)
     temps: list[int] = []
     minima: list[int] = []
-    onto_min: list[np.ndarray] = []
     auts: list[np.ndarray] = []
 
     cursor = 0
@@ -294,19 +298,19 @@ def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
         if cursor >= span:
             break
         bits = lo + cursor
-        # the graphette relabeled by every permutation
-        images = np.bitwise_or.reduce(edge_images[bits >> edge_bits & 1 == 1], axis=0)
+        images = relabelings(bits)
+        low = int(images.min())
+        if low == bits:
+            auts.append(perms[images == low])  # every mapping fixing t, least first
+        else:
+            images = relabelings(low)
         inside = (images >= lo) & (images < hi)
         local = images[inside] - lo
         tc_index[local] = len(temps)
         np.minimum.at(wit_key, local, inv_keys[inside])
-        low = int(images.min())
-        onto = perms[images == low]          # every mapping onto the minimum, least first
         temps.append(bits)
         minima.append(low)
-        onto_min.append(onto[0])
-        if low == bits:
-            auts.append(onto)
+        cursor += 1
 
     return SiftPartition(
         k=k,
@@ -314,7 +318,6 @@ def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
         hi=hi,
         temp_canonicals=np.array(temps, dtype=np.int64),
         temp_minima=np.array(minima, dtype=np.int64),
-        temp_witness=np.array(onto_min, dtype=np.int64),
         automorphisms=auts,
         tc_index=tc_index,
         witness_key=wit_key,
@@ -348,15 +351,14 @@ def merge_siftings(parts: Sequence[SiftPartition]) -> tuple[CanonicalCatalog, Lo
     """Fuse per-range siftings into the global catalog and lookup table.
 
     The canonicals are the temp canonicals that are their own minimum (the
-    class's lowest member always survives its own range).  A member of
-    such a temp already holds its least witness.  A member of any other temp
-    gets the composition member->temp->canonical, minimized over the
-    canonical's automorphisms, so the stored bytes match a one-shot build.
-    Node u's orbit label is the least image of u under the automorphisms.
+    class's lowest member always survives its own range).  Every range
+    already holds each member's least witness onto its global canonical, so
+    the merge only assembles records: canonical id and connected flag through
+    tc_index, witness digits from witness_key.  Node u's orbit label is the
+    least image of u under the automorphisms.
     """
     ordered = _validate_tiling(parts)
     k = ordered[0].k
-    weights = _lex_weights(k)
     digit_shifts = 3 * np.arange(k - 1, -1, -1, dtype=np.uint32)
 
     temps = np.concatenate([p.temp_canonicals for p in ordered])
@@ -371,28 +373,16 @@ def merge_siftings(parts: Sequence[SiftPartition]) -> tuple[CanonicalCatalog, Lo
     records = np.empty(1 << bit_length(k), dtype=RECORD_DTYPE)
     base = 0
     for part in ordered:
-        cids = temp_cid[base:base + len(part.temp_canonicals)]
-        keys = part.witness_key.copy()
-        # members whose temp is not a canonical, grouped by temp
-        moved = np.flatnonzero((part.temp_minima != part.temp_canonicals)[part.tc_index])
-        moved = moved[np.argsort(part.tc_index[moved], kind="stable")]
-        tids, starts = np.unique(part.tc_index[moved], return_index=True)
-        for tid, start, stop in zip(tids, starts, [*starts[1:], len(moved)]):
-            members = moved[start:stop]
-            member_perm = keys[members, None] >> digit_shifts & 7          # (m, k)
-            # every mapping onto the canonical: aut ∘ (temp->canonical) ∘ (member->temp)
-            lifted = auts[cids[tid]][:, part.temp_witness[tid]]            # (A, k)
-            keys[members] = (lifted[:, member_perm] @ weights).min(axis=0)
-
+        stop = base + len(part.temp_canonicals)
         out = records[part.lo:part.hi]
-        np.take(temp_low[base:base + len(cids)], part.tc_index, out=out, mode="clip")
+        np.take(temp_low[base:stop], part.tc_index, out=out, mode="clip")
         digit = np.empty(len(out), dtype=np.uint64)
         for u, shift in enumerate(digit_shifts):
-            np.right_shift(keys, shift, out=digit)
+            np.right_shift(part.witness_key, shift, out=digit)
             digit &= 7
             digit <<= WITNESS_SHIFT + 3 * u
             out |= digit
-        base += len(cids)
+        base = stop
 
     labels = [tuple(a.min(axis=0).tolist()) for a in auts]
     return CanonicalCatalog(k, canonicals, connected, labels), LookupTable(k, records)
@@ -420,7 +410,8 @@ def build_canonical_map_parallel(
     ranges = partition_ranges(k, m)
     if workers > 1 and len(ranges) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sift_range, [(k, lo, hi) for lo, hi in ranges]))
+            los, his = zip(*ranges)
+            parts = list(pool.map(sift_partition, itertools.repeat(k), los, his))
     else:
         parts = [sift_partition(k, lo, hi) for lo, hi in ranges]
     return merge_siftings(parts)
@@ -430,7 +421,3 @@ def build_canonical_map_sequential(k: int) -> tuple[CanonicalCatalog, LookupTabl
     """The one-shot build: the whole bit-vector space as one sifted range (k <= 7)."""
     _check_build_k(k, MAX_SEQUENTIAL_K)
     return build_canonical_map_parallel(k, 1)
-
-
-def _sift_range(args: tuple[int, int, int]) -> SiftPartition:
-    return sift_partition(*args)

@@ -6,6 +6,7 @@ SampleAccumulator.add_batch must reproduce them exactly.
 """
 
 import itertools
+import mmap
 
 import numpy as np
 import pytest
@@ -91,6 +92,22 @@ def test_accumulate_alternating_with_odv_reads(tables_by_k):
         assert np.array_equal(acc.odv, expected)
         assert np.array_equal(acc.odv.sum(axis=0), acc.orbit_counts)
     assert acc.n_samples == 60
+
+
+def test_mapped_odv_tallies_like_a_heap_odv(tables_by_k):
+    tables = tables_by_k[5]
+    n = 6000  # 6,000 nodes x 90 orbits of int64 is past 4 MiB, so the ODV is mapped
+    host = HostGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    acc = SampleAccumulator.empty(tables, n)
+    assert isinstance(acc.odv.base, mmap.mmap) and not acc.odv.any()
+    rng = np.random.default_rng(6)
+    nodes = (random_ksets(rng, 16, 5, 2000) + rng.integers(n, size=(2000, 1))) % n
+    cids, orbit_ids = tables.identify_batch(induced_bits_batch(host, nodes))
+    acc.add_batch(nodes, cids, orbit_ids)
+    expected = np.zeros((n, tables.orbits.total_orbits), dtype=np.int64)
+    np.add.at(expected, (nodes, orbit_ids), 1)
+    assert np.array_equal(acc.odv, expected)
+    assert np.array_equal(acc.merge(acc).odv, 2 * expected)
 
 
 def test_merge_of_sampled_accumulators(tables_by_k):

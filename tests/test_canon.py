@@ -219,12 +219,20 @@ def test_sift_k3_upper_half():
         assert part.tc_index[temp - 4] == tid
 
 
-def test_sift_temp_witnesses_are_identity_on_temps():
-    part = sift_partition(4, 16, 64)
-    k = 4
+@pytest.mark.parametrize("k, lo, hi", [(4, 16, 64), (5, 300, 700)])
+def test_sift_witnesses_point_at_global_canonicals(k, lo, hi):
+    part = sift_partition(k, lo, hi)
+    # the range starts mid-space, so some temps are not canonicals
+    assert (part.temp_minima != part.temp_canonicals).any()
+    for b in range(lo, hi):
+        key = int(part.witness_key[b - lo])
+        witness = Permutation(tuple(key >> 3 * (k - 1 - u) & 7 for u in range(k)))
+        canonical = int(part.temp_minima[part.tc_index[b - lo]])
+        assert apply_permutation(Graphette(k, b), witness).bits == canonical
     identity_key = sum(u * 8 ** (k - 1 - u) for u in range(k))
-    for temp in part.temp_canonicals.tolist():
-        assert part.witness_key[temp - 16] == identity_key
+    for temp, low in zip(part.temp_canonicals.tolist(), part.temp_minima.tolist()):
+        if temp == low:
+            assert part.witness_key[temp - lo] == identity_key
 
 
 def test_sift_rejects_empty_range():

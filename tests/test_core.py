@@ -2,6 +2,7 @@ import itertools
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from graphette.core import (
@@ -237,6 +238,22 @@ def test_host_graph_rejects_self_loops_and_bad_labels():
 def test_host_graph_collapses_duplicates():
     g = HostGraph(2, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count == 1
+
+
+def test_host_graph_list_and_array_inputs_agree():
+    pairs = [(3, 1), (0, 4), (1, 3), (2, 0), (4, 0), (1, 2), (3, 1)]
+    from_list = HostGraph(6, pairs)
+    from_array = HostGraph(6, np.array(pairs, dtype=np.int64))
+    assert from_list.edge_array.tolist() == [[0, 2], [0, 4], [1, 2], [1, 3]]
+    assert np.array_equal(from_list.edge_array, from_array.edge_array)
+    assert np.array_equal(from_list._edge_keys, from_array._edge_keys)
+    for u in range(6):
+        assert np.array_equal(from_list.neighbors(u), from_array.neighbors(u))
+
+
+def test_host_graph_error_names_offending_pair():
+    with pytest.raises(ValueError, match=r"\(2, 7\)"):
+        HostGraph(5, np.array([[0, 1], [2, 7]]))
 
 
 def test_induced_bits_examples():
