@@ -156,7 +156,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         g = _parse_edges_literal(args.edges, k)
     cid, witness, connected = tables.query(g)
-    orbit_ids = [tables.node_orbit(g, u) for u in range(k)]
+    _, orbit_ids = tables.identify(g.bits)
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
         out.write(

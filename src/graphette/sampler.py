@@ -11,7 +11,9 @@ over the host's edge keys for every edge test of the batch, one fancy-indexed
 table decode, and bincounts into the tallies.  Uniform k-sets are drawn as a
 batch; expansion draws go one at a time through draw_sample and are then
 identified together.  accumulate is the batch-of-one case.  Each batch's
-(node, orbit) tallies are added in place to the dense int64 ODV.
+(node, orbit) tallies are added in place to the dense int64 ODV.  estimate
+lays the frequencies over the accumulator's arrays without copying them, and
+write_report_tsv writes every all-zero ODV row from one prebuilt string.
 sample_distribution's `workers` splits the draws into that many seeded
 streams, run one after another.
 """
@@ -187,18 +189,15 @@ class SampleAccumulator:
     graphette_counts: np.ndarray
     orbit_counts: np.ndarray
     odv: np.ndarray
-    rng_seed: int | None = None
 
     @classmethod
-    def empty(cls, tables: TableSet, host_nodes: int, rng_seed: int | None = None
-              ) -> "SampleAccumulator":
+    def empty(cls, tables: TableSet, host_nodes: int) -> "SampleAccumulator":
         return cls(
             k=tables.k,
             n_samples=0,
             graphette_counts=np.zeros(len(tables.catalog), dtype=np.int64),
             orbit_counts=np.zeros(tables.orbits.total_orbits, dtype=np.int64),
             odv=_odv_zeros(host_nodes, tables.orbits.total_orbits),
-            rng_seed=rng_seed,
         )
 
     def add_batch(self, nodes: np.ndarray, cids: np.ndarray, orbit_ids: np.ndarray) -> None:
@@ -220,7 +219,6 @@ class SampleAccumulator:
             graphette_counts=self.graphette_counts + other.graphette_counts,
             orbit_counts=self.orbit_counts + other.orbit_counts,
             odv=self.odv + other.odv,
-            rng_seed=self.rng_seed,
         )
 
 
@@ -271,7 +269,7 @@ def sample_distribution(
     k = tables.k
     if graph.n < k:
         raise ValueError(f"host graph has {graph.n} nodes, cannot sample k={k}")
-    acc = SampleAccumulator.empty(tables, graph.n, rng_seed=seed)
+    acc = SampleAccumulator.empty(tables, graph.n)
     for worker in range(workers):
         rng = np.random.default_rng([seed, worker])
         quota = n_samples // workers + (1 if worker < n_samples % workers else 0)
@@ -310,7 +308,9 @@ def exhaustive_enumerate(
 
 @dataclass(frozen=True)
 class GraphetteReport:
-    """Normalized view of an accumulator, ready for writing or comparison."""
+    """Frequencies beside an accumulator's count and ODV arrays, which the
+    report shares uncopied; the frequencies are fixed when the report is made,
+    so tally nothing more into that accumulator while the report is in use."""
 
     k: int
     n_samples: int
@@ -321,7 +321,6 @@ class GraphetteReport:
     orbit_counts: np.ndarray
     orbit_frequencies: np.ndarray
     odv: np.ndarray
-    odv_normalized: np.ndarray
     node_names: list[str]
 
     def graphlet_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -331,24 +330,21 @@ class GraphetteReport:
 
 
 def estimate(acc: SampleAccumulator, tables: TableSet, graph: HostGraph) -> GraphetteReport:
-    """Turn raw tallies into frequencies and per-node ODV rows."""
+    """Graphette and orbit frequencies over the accumulator's tallies."""
     if acc.n_samples < 1:
         raise ValueError("no samples accumulated")
     n = acc.n_samples
-    row_sums = acc.odv.sum(axis=1, keepdims=True)
-    safe = np.where(row_sums > 0, row_sums, 1)
     return GraphetteReport(
         k=acc.k,
         n_samples=n,
-        canonical_bits=tables.catalog.canonicals.copy(),
-        connected=tables.catalog.connected.copy(),
-        graphette_counts=acc.graphette_counts.copy(),
+        canonical_bits=tables.catalog.canonicals,
+        connected=tables.catalog.connected,
+        graphette_counts=acc.graphette_counts,
         graphette_frequencies=acc.graphette_counts / n,
-        orbit_counts=acc.orbit_counts.copy(),
+        orbit_counts=acc.orbit_counts,
         orbit_frequencies=acc.orbit_counts / (acc.k * n),
-        odv=acc.odv.copy(),
-        odv_normalized=acc.odv / safe,
-        node_names=list(graph.names),
+        odv=acc.odv,
+        node_names=graph.names,
     )
 
 
@@ -371,8 +367,10 @@ def write_report_tsv(report: GraphetteReport, out: IO[str]) -> None:
         )
     out.write("# odv\n")
     out.write("node\t" + "\t".join(str(w) for w in range(report.odv.shape[1])) + "\n")
-    for name, row in zip(report.node_names, report.odv):
-        out.write(f"{name}\t" + "\t".join(map(str, row.tolist())) + "\n")
+    zero_tail = "\t0" * report.odv.shape[1] + "\n"
+    for v, used in enumerate(report.odv.any(axis=1).tolist()):
+        tail = "\t" + "\t".join(map(str, report.odv[v].tolist())) + "\n" if used else zero_tail
+        out.write(f"{report.node_names[v]}{tail}")
 
 
 def report_to_string(report: GraphetteReport) -> str:

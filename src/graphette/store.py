@@ -266,12 +266,12 @@ class TableSet:
             raise ValueError(f"node index {u} out of range for k={g.k}")
         if g.k != self.k:
             raise ValueError(f"graphette k={g.k} does not match table k={self.k}")
-        cid, _, witness = unpack_record(self.table.records.item(g.bits))
-        pos = witness >> 3 * u & 7
-        return self.orbits.bases.item(cid) + self.orbits.local_ranks.item(cid, pos)
+        return self.identify(g.bits)[1][u]
 
     def identify(self, bits: int) -> tuple[int, tuple[int, ...]]:
         """Canonical id plus the global orbit id at every node position."""
+        if not 0 <= bits < len(self.table.records):
+            raise ValueError(f"bits {bits} out of range for k={self.k}")
         cids, orbit_ids = self.identify_batch(np.array([bits]))
         return int(cids[0]), tuple(orbit_ids[0].tolist())
 

@@ -322,3 +322,24 @@ def test_report_tsv_sections(tables3):
     buf = io.StringIO()
     write_report_tsv(report, buf)
     assert buf.getvalue() == text
+
+
+def test_estimate_shares_the_accumulator_arrays(tables4):
+    host = complete_host(6)
+    acc = sample_distribution(host, tables4, 50, seed=20)
+    report = estimate(acc, tables4, host)
+    assert np.shares_memory(report.odv, acc.odv)
+    assert np.shares_memory(report.graphette_counts, acc.graphette_counts)
+    assert np.shares_memory(report.orbit_counts, acc.orbit_counts)
+
+
+def test_report_odv_rows_on_a_sparse_host(tables4):
+    # a 2,000-node ring sampled 20 times leaves almost every ODV row zero
+    host = load_graph(io.StringIO("".join(f"n{i} n{(i + 1) % 2000}\n" for i in range(2000))))
+    acc = sample_distribution(host, tables4, 20, seed=21)
+    lines = report_to_string(estimate(acc, tables4, host)).splitlines()
+    rows = lines[lines.index("# odv") + 2:]
+    assert len(rows) == host.n
+    assert 0 < acc.odv.any(axis=1).sum() < host.n // 10
+    for v, line in enumerate(rows):
+        assert line == host.names[v] + "\t" + "\t".join(str(int(x)) for x in acc.odv[v])

@@ -288,3 +288,9 @@ def test_identify_matches_node_orbit(tables4):
         cid, orbit_ids = tables4.identify(bits)
         assert cid == tables4.query(g)[0]
         assert list(orbit_ids) == [tables4.node_orbit(g, u) for u in range(4)]
+
+
+@pytest.mark.parametrize("bits", [-1, 1 << bit_length(3)])
+def test_identify_rejects_bits_out_of_range(tables3, bits):
+    with pytest.raises(ValueError, match="out of range"):
+        tables3.identify(bits)
