@@ -10,19 +10,22 @@ Identification runs in numpy batches of up to BATCH k-sets: one searchsorted
 over the host's edge keys for every edge test of the batch, one fancy-indexed
 table decode, and bincounts into the tallies.  Uniform k-sets are drawn as a
 batch; expansion draws go one at a time through draw_sample and are then
-identified together.  accumulate is the batch-of-one case.  Each batch's
-(node, orbit) tallies are added in place to the dense int64 ODV.  estimate
-lays the frequencies over the accumulator's arrays without copying them, and
-write_report_tsv writes every all-zero ODV row from one prebuilt string.
-sample_distribution's `workers` splits the draws into that many seeded
-streams, run one after another.
+identified together.  accumulate is the batch-of-one case.  The orbit degree
+vector (ODV) is sparse: each batch's flat (node, orbit) ids are tallied into
+sorted (id, count) pairs, which are folded into the accumulator's pairs, so
+no n x W array exists from sample to report; SampleAccumulator.odv builds
+the dense array only on request.  estimate lays the frequencies over the
+accumulator's arrays without copying them, and write_report_tsv lays out the
+rows with a nonzero cell a chunk at a time and writes the all-zero rows from
+one prebuilt string.  sample_distribution's `workers` splits the draws into
+that many seeded streams, run one after another.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import mmap
+import os
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, islice
@@ -36,7 +39,8 @@ from .store import TableSet
 
 DEFAULT_ENUMERATION_BOUND = 10_000_000
 BATCH = 4096  # k-sets identified per numpy batch; bounds the batch arrays
-_HUGE_PAGE_ADVICE_BYTES = 1 << 22  # numpy advises huge pages from this size up
+TALLY_BINCOUNT_SPAN = 4  # _tally bincounts a batch whose ids span under 4x its length
+REPORT_CHUNK_CELLS = 1 << 20  # ODV cells laid out, or zero-row cells joined, per report write
 
 
 class GraphFormatError(ValueError):
@@ -160,44 +164,82 @@ def draw_sample(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _odv_zeros(rows: int, cols: int) -> np.ndarray:
-    """(rows, cols) int64 zeros; from 4 MiB up, in an anonymous memory map.
+def _sum_sorted(keys: np.ndarray, counts: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys, some repeated, and their counts (1 each when None) ->
+    the unique keys and the summed count of each."""
+    last = np.empty(len(keys), dtype=bool)
+    last[-1:] = True
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    ends = np.flatnonzero(last)
+    # running totals at each run's end, differenced; reduceat is ~3x slower
+    totals = ends + 1 if counts is None else np.cumsum(counts)[ends]
+    sums = np.empty_like(totals)
+    sums[:1] = totals[:1]
+    np.subtract(totals[1:], totals[:-1], out=sums[1:])
+    return keys[ends], sums
 
-    numpy advises huge pages for buffers of 4 MiB and up, so the kernel
-    zeroes 2 MiB for each one a batch first touches, while a map is faulted
-    in 4 KiB pages.  A sample batch touches a few thousand scattered ODV
-    cells: for 2,500 cells of a 100k x 90 ODV the map takes 6.5 ms against
-    13 ms (Xeon, transparent huge pages on madvise, numpy 2.4).  Below
-    4 MiB numpy reuses heap memory, which a fresh map per call cannot.
+
+def _tally(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted unique values of a batch of non-negative ids and their counts.
+
+    A batch whose ids span less than TALLY_BINCOUNT_SPAN times its length is
+    counted by bincount over that span (10k ids over 1,260 cells: ~30 us,
+    against ~110 us to sort them); any other batch is sorted.  numpy 2.4's
+    1-D np.unique hashes, and argsort of a random batch costs ~8x np.sort,
+    so neither is used.
     """
-    nbytes = rows * cols * 8
-    if nbytes < _HUGE_PAGE_ADVICE_BYTES:
-        return np.zeros((rows, cols), dtype=np.int64)
-    return np.ndarray((rows, cols), dtype=np.int64, buffer=mmap.mmap(-1, nbytes))
+    if ids.size:
+        lo = ids.min()
+        if ids.max() - lo < TALLY_BINCOUNT_SPAN * ids.size:
+            counts = np.bincount(ids - lo)
+            keys = np.flatnonzero(counts)
+            return keys + lo, counts[keys]
+    return _sum_sorted(np.sort(ids))
 
 
-@dataclass
+def _merge_pairs(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sum runs of sorted unique (keys, counts) into one such run."""
+    if len(runs) == 1:
+        return runs[0]
+    keys = np.concatenate([keys for keys, _ in runs])
+    counts = np.concatenate([counts for _, counts in runs])
+    # concatenated sorted runs, which the stable sort (timsort) merges run
+    # by run: 2M pairs in ~0.1 s, half the time of np.sort plus searchsorted
+    order = np.argsort(keys, kind="stable")
+    return _sum_sorted(keys[order], counts[order])
+
+
 class SampleAccumulator:
     """Counts per canonical graphette, per global orbit, and per host node.
 
-    odv row v column w counts how often host node v landed in global orbit w
-    across accumulated samples (the graphette orbit degree vector).
+    The orbit degree vector (ODV) counts how often host node v landed in
+    global orbit w across accumulated samples.  It is held sparse: odv_keys
+    are the sorted flat ids v * W + w of its nonzero cells (W global orbits)
+    and odv_counts their counts, so its memory is proportional to the smaller
+    of samples * k and the nonzero cells, never to host nodes * W.  Each batch's
+    sorted pairs wait in a pending list and are folded into the accumulated
+    pairs once they outnumber them, so a run of N ids costs O(N log N).
     """
 
-    k: int
-    n_samples: int
-    graphette_counts: np.ndarray
-    orbit_counts: np.ndarray
-    odv: np.ndarray
+    def __init__(self, k: int, host_nodes: int, graphette_counts: np.ndarray,
+                 orbit_counts: np.ndarray, n_samples: int = 0):
+        self.k = k
+        self.host_nodes = host_nodes
+        self.n_samples = n_samples
+        self.graphette_counts = graphette_counts
+        self.orbit_counts = orbit_counts
+        self._keys = self._counts = np.zeros(0, dtype=np.int64)
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._pending_pairs = 0
 
     @classmethod
     def empty(cls, tables: TableSet, host_nodes: int) -> "SampleAccumulator":
         return cls(
             k=tables.k,
-            n_samples=0,
+            host_nodes=host_nodes,
             graphette_counts=np.zeros(len(tables.catalog), dtype=np.int64),
             orbit_counts=np.zeros(tables.orbits.total_orbits, dtype=np.int64),
-            odv=_odv_zeros(host_nodes, tables.orbits.total_orbits),
         )
 
     def add_batch(self, nodes: np.ndarray, cids: np.ndarray, orbit_ids: np.ndarray) -> None:
@@ -206,20 +248,64 @@ class SampleAccumulator:
         self.graphette_counts += np.bincount(cids, minlength=len(self.graphette_counts))
         orbits = len(self.orbit_counts)
         self.orbit_counts += np.bincount(orbit_ids.reshape(-1), minlength=orbits)
-        # flat ids: np.add.at is ~5x faster on one index array than on a pair
-        np.add.at(self.odv.reshape(-1), (nodes * orbits + orbit_ids).reshape(-1), 1)
+        keys, counts = _tally((nodes * orbits + orbit_ids).reshape(-1))
+        self._pending.append((keys, counts))
+        self._pending_pairs += len(keys)
+        if self._pending_pairs > len(self._keys):
+            self._fold()
+
+    def _fold(self) -> None:
+        """Add every pending batch's pairs into the accumulated pairs."""
+        if self._pending:
+            folded = [(self._keys, self._counts)] if len(self._keys) else []
+            self._keys, self._counts = _merge_pairs(folded + self._pending)
+            self._pending, self._pending_pairs = [], 0
+
+    @property
+    def odv_keys(self) -> np.ndarray:
+        """Sorted flat ids node * W + orbit of the nonzero ODV cells."""
+        self._fold()
+        return self._keys
+
+    @property
+    def odv_counts(self) -> np.ndarray:
+        """The int64 count of each odv_keys cell, all positive."""
+        self._fold()
+        return self._counts
+
+    @property
+    def odv(self) -> np.ndarray:
+        """The dense (host nodes, W) int64 ODV, built anew on every read.
+
+        Raises ValueError when it would take more than half of physical memory.
+        """
+        orbits = len(self.orbit_counts)
+        nbytes = self.host_nodes * orbits * 8
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+        if nbytes > limit:
+            raise ValueError(
+                f"a dense {self.host_nodes} x {orbits} ODV needs {nbytes} bytes, "
+                f"more than half of physical memory ({limit} bytes)"
+            )
+        odv = np.zeros((self.host_nodes, orbits), dtype=np.int64)
+        odv.reshape(-1)[self.odv_keys] = self.odv_counts
+        return odv
 
     def merge(self, other: "SampleAccumulator") -> "SampleAccumulator":
         """Elementwise sum; associative, so worker order never matters."""
-        if self.k != other.k or self.odv.shape != other.odv.shape:
+        if (self.k != other.k or self.host_nodes != other.host_nodes
+                or len(self.orbit_counts) != len(other.orbit_counts)):
             raise ValueError("accumulators do not match")
-        return SampleAccumulator(
+        merged = SampleAccumulator(
             k=self.k,
-            n_samples=self.n_samples + other.n_samples,
+            host_nodes=self.host_nodes,
             graphette_counts=self.graphette_counts + other.graphette_counts,
             orbit_counts=self.orbit_counts + other.orbit_counts,
-            odv=self.odv + other.odv,
+            n_samples=self.n_samples + other.n_samples,
         )
+        merged._keys, merged._counts = _merge_pairs(
+            [(self.odv_keys, self.odv_counts), (other.odv_keys, other.odv_counts)])
+        return merged
 
 
 def _identify(acc: SampleAccumulator, graph: HostGraph, nodes: np.ndarray,
@@ -282,6 +368,7 @@ def sample_distribution(
                                  dtype=np.int64)
             _identify(acc, graph, nodes, tables)
             quota -= size
+    acc._fold()
     return acc
 
 
@@ -303,14 +390,16 @@ def exhaustive_enumerate(
     subsets = combinations(range(graph.n), k)
     while chunk := list(islice(subsets, BATCH)):
         _identify(acc, graph, np.array(chunk, dtype=np.int64), tables)
+    acc._fold()
     return acc
 
 
 @dataclass(frozen=True)
 class GraphetteReport:
-    """Frequencies beside an accumulator's count and ODV arrays, which the
-    report shares uncopied; the frequencies are fixed when the report is made,
-    so tally nothing more into that accumulator while the report is in use."""
+    """Frequencies beside an accumulator's count arrays and ODV pairs, which
+    the report shares uncopied; the frequencies are fixed when the report is
+    made, so tally nothing more into that accumulator while the report is in
+    use."""
 
     k: int
     n_samples: int
@@ -320,7 +409,8 @@ class GraphetteReport:
     graphette_frequencies: np.ndarray
     orbit_counts: np.ndarray
     orbit_frequencies: np.ndarray
-    odv: np.ndarray
+    odv_keys: np.ndarray
+    odv_counts: np.ndarray
     node_names: list[str]
 
     def graphlet_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -343,14 +433,21 @@ def estimate(acc: SampleAccumulator, tables: TableSet, graph: HostGraph) -> Grap
         graphette_frequencies=acc.graphette_counts / n,
         orbit_counts=acc.orbit_counts,
         orbit_frequencies=acc.orbit_counts / (acc.k * n),
-        odv=acc.odv,
+        odv_keys=acc.odv_keys,
+        odv_counts=acc.odv_counts,
         node_names=graph.names,
     )
 
 
 def write_report_tsv(report: GraphetteReport, out: IO[str]) -> None:
     """Write the three report sections as TSV; identical schema for sampled
-    and exhaustive runs so the outputs diff cleanly."""
+    and exhaustive runs so the outputs diff cleanly.
+
+    The ODV section reads the sparse pairs: rows with a nonzero cell are laid
+    out densely REPORT_CHUNK_CELLS cells at a time, and the all-zero rows
+    between them are joined from one prebuilt string, so no (rows, W) array
+    larger than a chunk exists.
+    """
     out.write(f"# graphettes\tk={report.k}\tsamples={report.n_samples}\n")
     out.write("canonical_id\tbits\tconnected\tcount\tfrequency\n")
     for cid in range(len(report.canonical_bits)):
@@ -365,12 +462,32 @@ def write_report_tsv(report: GraphetteReport, out: IO[str]) -> None:
         out.write(
             f"{w}\t{int(report.orbit_counts[w])}\t{report.orbit_frequencies[w]:.10g}\n"
         )
+    orbits = len(report.orbit_counts)
+    names = report.node_names
     out.write("# odv\n")
-    out.write("node\t" + "\t".join(str(w) for w in range(report.odv.shape[1])) + "\n")
-    zero_tail = "\t0" * report.odv.shape[1] + "\n"
-    for v, used in enumerate(report.odv.any(axis=1).tolist()):
-        tail = "\t" + "\t".join(map(str, report.odv[v].tolist())) + "\n" if used else zero_tail
-        out.write(f"{report.node_names[v]}{tail}")
+    out.write("node\t" + "\t".join(str(w) for w in range(orbits)) + "\n")
+    zero_tail = "\t0" * orbits + "\n"
+    step = max(1, REPORT_CHUNK_CELLS // orbits)  # rows per chunk
+
+    def zero_rows(start: int, stop: int) -> None:
+        for lo in range(start, stop, step):
+            out.write(zero_tail.join(names[lo:min(lo + step, stop)]) + zero_tail)
+
+    rows, cols = np.divmod(report.odv_keys, orbits)
+    firsts = np.flatnonzero(np.diff(rows, prepend=-1))  # each used row's first pair
+    used = rows[firsts]
+    bounds = np.append(firsts, len(rows))
+    done = 0  # rows written so far
+    for lo in range(0, len(used), step):
+        chunk = used[lo:lo + step]
+        a, b = bounds[lo], bounds[lo + len(chunk)]
+        block = np.zeros((len(chunk), orbits), dtype=np.int64)
+        block[np.searchsorted(chunk, rows[a:b]), cols[a:b]] = report.odv_counts[a:b]
+        for v, cells in zip(chunk.tolist(), block.tolist()):
+            zero_rows(done, v)
+            out.write(names[v] + "\t" + "\t".join(map(str, cells)) + "\n")
+            done = v + 1
+    zero_rows(done, len(names))
 
 
 def report_to_string(report: GraphetteReport) -> str:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from os import PathLike
 from typing import BinaryIO, Union
 
@@ -275,6 +276,11 @@ class TableSet:
         cids, orbit_ids = self.identify_batch(np.array([bits]))
         return int(cids[0]), tuple(orbit_ids[0].tolist())
 
+    @cached_property
+    def _witness_shifts(self) -> np.ndarray:
+        """(k,) shifts of the 3-bit witness fields of nodes 0..k-1 in a record."""
+        return WITNESS_SHIFT + 3 * np.arange(self.k, dtype=np.uint64)
+
     def identify_batch(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Canonical ids (B,) and global orbit ids (B, k) of B bit vectors.
 
@@ -283,7 +289,6 @@ class TableSet:
         """
         records = self.table.records[bits]
         cids = (records & ID_MASK).astype(np.intp)
-        shifts = WITNESS_SHIFT + 3 * np.arange(self.k, dtype=np.uint64)
-        pos = (records[:, None] >> shifts & 7).astype(np.intp)
+        pos = (records[:, None] >> self._witness_shifts & 7).astype(np.intp)
         orbit_ids = self.orbits.bases[cids][:, None] + self.orbits.local_ranks[cids[:, None], pos]
         return cids, orbit_ids

@@ -2,22 +2,29 @@
 
 induced_bits (per-node binary searches) and TableSet.node_orbit (one
 record decoded per call) are the references; induced_bits_batch, TableSet.identify_batch and
-SampleAccumulator.add_batch must reproduce them exactly.
+SampleAccumulator.add_batch must reproduce them exactly.  The sparse ODV pairs
+are checked against a dense ODV tallied with np.add.at.
 """
 
 import itertools
-import mmap
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from graphette import sampler
 from graphette.core import HostGraph, induced_bits, induced_bits_batch
 from graphette.sampler import (
+    BATCH,
     SampleAccumulator,
     _uniform_batch,
     accumulate,
+    estimate,
     exhaustive_enumerate,
+    report_to_string,
     sample_distribution,
+    write_report_tsv,
 )
 from graphette.store import TableSet
 
@@ -94,20 +101,165 @@ def test_accumulate_alternating_with_odv_reads(tables_by_k):
     assert acc.n_samples == 60
 
 
-def test_mapped_odv_tallies_like_a_heap_odv(tables_by_k):
-    tables = tables_by_k[5]
-    n = 6000  # 6,000 nodes x 90 orbits of int64 is past 4 MiB, so the ODV is mapped
-    host = HostGraph(n, [(i, (i + 1) % n) for i in range(n)])
-    acc = SampleAccumulator.empty(tables, n)
-    assert isinstance(acc.odv.base, mmap.mmap) and not acc.odv.any()
-    rng = np.random.default_rng(6)
-    nodes = (random_ksets(rng, 16, 5, 2000) + rng.integers(n, size=(2000, 1))) % n
-    cids, orbit_ids = tables.identify_batch(induced_bits_batch(host, nodes))
-    acc.add_batch(nodes, cids, orbit_ids)
-    expected = np.zeros((n, tables.orbits.total_orbits), dtype=np.int64)
+def identified(tables, host, nodes):
+    """(B, k) nodes -> (cids, orbit ids) through the batched path."""
+    return tables.identify_batch(induced_bits_batch(host, nodes))
+
+
+def dense_reference(tables, host, nodes, orbit_ids):
+    expected = np.zeros((host.n, tables.orbits.total_orbits), dtype=np.int64)
     np.add.at(expected, (nodes, orbit_ids), 1)
+    return expected
+
+
+def assert_pairs_match(acc, expected):
+    """acc's ODV pairs are strictly increasing, positive, in range, and equal expected."""
+    keys, counts = acc.odv_keys, acc.odv_counts
+    assert (np.diff(keys) > 0).all() and (counts > 0).all()
+    assert keys.size == 0 or 0 <= keys[0] and keys[-1] < expected.size
+    assert np.array_equal(keys, np.flatnonzero(expected))
+    assert np.array_equal(counts, expected.reshape(-1)[keys])
     assert np.array_equal(acc.odv, expected)
-    assert np.array_equal(acc.merge(acc).odv, 2 * expected)
+
+
+@pytest.mark.parametrize("spread", ["window", "ring"])
+def test_sparse_odv_pairs_match_a_dense_reference(tables_by_k, spread):
+    # "window" keeps every id within 16 x 90 cells, so the batch is tallied
+    # by bincount; "ring" spreads them over 6,000 x 90 cells, so it is sorted
+    tables = tables_by_k[5]
+    n = 6000
+    host = HostGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    rng = np.random.default_rng(6)
+    nodes = random_ksets(rng, 16, 5, 2000)
+    if spread == "ring":
+        nodes = (nodes + rng.integers(n, size=(2000, 1))) % n
+    cids, orbit_ids = identified(tables, host, nodes)
+    acc = SampleAccumulator.empty(tables, n)
+    assert acc.odv_keys.size == 0 and not acc.odv.any()
+    acc.add_batch(nodes, cids, orbit_ids)
+    expected = dense_reference(tables, host, nodes, orbit_ids)
+    assert_pairs_match(acc, expected)
+    assert_pairs_match(acc.merge(acc), 2 * expected)
+
+
+@pytest.mark.parametrize("host_name", ["er40", "ring"])
+def test_sampling_run_folds_batches_like_a_dense_reference(tables_by_k, ring_1e6, host_name):
+    # on 40 nodes every batch outnumbers the folded pairs and is folded at once
+    tables = tables_by_k[5]
+    host = er_host(40, 0.3, seed=40) if host_name == "er40" else ring_1e6
+    samples = 3 * BATCH + 17
+    acc = sample_distribution(host, tables, samples, seed=8)
+    rng = np.random.default_rng([8, 0])  # replay the draws of sample_distribution
+    expected = np.zeros((host.n, tables.orbits.total_orbits), dtype=np.int64)
+    for size in (BATCH, BATCH, BATCH, 17):
+        nodes = _uniform_batch(rng, host.n, 5, size)
+        np.add.at(expected, (nodes, identified(tables, host, nodes)[1]), 1)
+    assert acc.n_samples == samples and not acc._pending
+    assert_pairs_match(acc, expected)
+
+
+def test_merge_adds_overlapping_pairs(tables_by_k):
+    tables = tables_by_k[5]
+    host = er_host(20, 0.3, seed=9)
+    rng = np.random.default_rng(9)
+    accs, refs = [], []
+    for count in (700, 300):
+        nodes = random_ksets(rng, host.n, 5, count)
+        cids, orbit_ids = identified(tables, host, nodes)
+        acc = SampleAccumulator.empty(tables, host.n)
+        acc.add_batch(nodes, cids, orbit_ids)
+        accs.append(acc)
+        refs.append(dense_reference(tables, host, nodes, orbit_ids))
+    a, b = accs
+    assert np.intersect1d(a.odv_keys, b.odv_keys).size > 0
+    merged = a.merge(b)
+    assert merged.n_samples == 1000
+    assert_pairs_match(merged, refs[0] + refs[1])
+    assert_pairs_match(a, refs[0])  # the inputs are left as they were
+    with pytest.raises(ValueError):
+        a.merge(SampleAccumulator.empty(tables, host.n + 1))
+
+
+def test_odv_reads_between_accumulates_see_pending_pairs(tables_by_k):
+    tables = tables_by_k[5]
+    host = er_host(25, 0.3, seed=10)
+    acc = SampleAccumulator.empty(tables, host.n)
+    expected = np.zeros((host.n, tables.orbits.total_orbits), dtype=np.int64)
+    for i, row in enumerate(random_ksets(np.random.default_rng(10), host.n, 5, 80)):
+        accumulate(acc, host, row.tolist(), tables)
+        np.add.at(expected, (row, identified(tables, host, row[None])[1][0]), 1)
+        assert i == 0 or acc._pending  # a row's k pairs never outnumber the folded ones
+        assert_pairs_match(acc, expected)
+
+
+def test_k7_sample_and_estimate_on_a_million_nodes_stay_sparse(tables_by_k, ring_1e6):
+    # a dense int64 ODV here would be 10^6 x 5,096 cells, about 41 GB
+    tables = tables_by_k[7]
+    samples = 3000
+    tracemalloc.start()
+    try:
+        acc = sample_distribution(ring_1e6, tables, samples, seed=11)
+        report = estimate(acc, tables, ring_1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    orbits = tables.orbits.total_orbits
+    keys, counts = report.odv_keys, report.odv_counts
+    assert 0 < len(keys) <= samples * 7
+    assert (np.diff(keys) > 0).all() and (counts > 0).all() and keys[-1] < ring_1e6.n * orbits
+    assert np.array_equal(np.bincount(keys % orbits, weights=counts, minlength=orbits),
+                          acc.orbit_counts)
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if ring_1e6.n * orbits * 8 > physical // 2:  # true below 82 GB of RAM
+        with pytest.raises(ValueError, match="bytes"):
+            acc.odv
+
+
+def dense_report(report, odv):
+    """The report as the dense-ODV writer laid it out: every row formatted."""
+    head = report_to_string(report).split("# odv\n")[0]
+    lines = [head, "# odv\n", "node\t" + "\t".join(map(str, range(odv.shape[1]))) + "\n"]
+    lines += [name + "\t" + "\t".join(map(str, row)) + "\n"
+              for name, row in zip(report.node_names, odv.tolist())]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 200, sampler.REPORT_CHUNK_CELLS])
+def test_report_odv_chunks_match_the_dense_layout(tables_by_k, monkeypatch, chunk_cells):
+    # 200 cells are two 90-orbit rows, so rows, gaps and chunks interleave
+    tables = tables_by_k[5]
+    host = er_host(300, 0.02, seed=12)
+    acc = sample_distribution(host, tables, 40, seed=12)
+    report = estimate(acc, tables, host)
+    assert 10 < np.count_nonzero(acc.odv.any(axis=1)) < host.n - 10
+    monkeypatch.setattr(sampler, "REPORT_CHUNK_CELLS", chunk_cells)
+    assert report_to_string(report) == dense_report(report, acc.odv)
+
+
+class _CountingSink:
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+
+
+def test_report_writer_holds_no_dense_odv(tables_by_k):
+    # a dense int64 ODV of 20,000 nodes x 544 orbits would be 87 MB
+    tables = tables_by_k[6]
+    n = 20_000
+    host = HostGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    report = estimate(sample_distribution(host, tables, 30, seed=13), tables, host)
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        write_report_tsv(report, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.lines == 2 + len(tables.catalog) + 2 + tables.orbits.total_orbits + 2 + n
+    assert peak < n * tables.orbits.total_orbits * 8 // 16
 
 
 def test_merge_of_sampled_accumulators(tables_by_k):
