@@ -10,6 +10,7 @@ written by this package depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -237,10 +238,34 @@ class HostGraph:
     def degree(self, u: int) -> int:
         return int(self._indptr[u + 1] - self._indptr[u])
 
+    def degrees(self, u: np.ndarray) -> np.ndarray:
+        """The degree of each label in u."""
+        return self._indptr[u + 1] - self._indptr[u]
+
+    def neighbor(self, u: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """The i-th smallest neighbor of each u, for 0 <= i < deg(u) (unchecked)."""
+        return self._indices[self._indptr[u] + i]
+
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)
         i = np.searchsorted(row, v)
         return i < len(row) and row[i] == v
+
+    def has_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise edge tests between broadcastable label arrays.
+
+        Labels must be in range; nothing is checked.  A pair of equal labels
+        tests False, as the host has no self-loops.  All tests are one searchsorted over the sorted edge keys, searched in
+        sorted order so that successive searches stay in the same part of the
+        table, several times faster on large hosts.
+        """
+        keys = np.minimum(a, b) * self.n + np.maximum(a, b)
+        flat = keys.reshape(-1)
+        order = np.argsort(flat)
+        table = self._edge_keys
+        hit = np.empty(flat.shape, dtype=bool)
+        hit[order] = table[np.searchsorted(table, flat[order])] == flat[order]
+        return hit.reshape(keys.shape)
 
 
 def check_nodes(graph: HostGraph, nodes: Sequence[int]) -> None:
@@ -270,21 +295,24 @@ def induced_bits(graph: HostGraph, nodes: Sequence[int]) -> Graphette:
     return Graphette(k, bits)
 
 
+@lru_cache(maxsize=None)
+def _bit_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, weight) of every lower-triangle bit of a k-node graphette, in
+    bit order: bit p tests edge {i[p], j[p]} and is worth weight[p] = 2^p."""
+    hi, lo = np.tril_indices(k, -1)  # row-major: bit order
+    weights = np.int64(1) << np.arange(len(hi), dtype=np.int64)
+    for a in (hi, lo, weights):  # shared by every call: keep them read-only
+        a.flags.writeable = False
+    return hi, lo, weights
+
+
 def induced_bits_batch(graph: HostGraph, nodes: np.ndarray) -> np.ndarray:
     """Bit vectors induced on every row of a (B, k) array of host labels.
 
     Row r gives the same bits as induced_bits(graph, nodes[r]).  All
-    B*k(k-1)/2 edge tests are one searchsorted over the sorted edge keys.
-    Rows must already hold distinct in-range labels; nothing is checked.
+    B*k(k-1)/2 edge tests are one HostGraph.has_edges call.  Rows must
+    already hold distinct in-range labels; nothing is checked.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    hi, lo = np.tril_indices(nodes.shape[1], -1)  # row-major: bit order
-    a, b = nodes[:, hi], nodes[:, lo]
-    keys = (np.minimum(a, b) * graph.n + np.maximum(a, b)).reshape(-1)
-    # Searching the keys in sorted order keeps successive searches in the
-    # same part of the table, several times faster on large hosts.
-    order = np.argsort(keys)
-    table = graph._edge_keys
-    hit = np.empty(keys.shape, dtype=bool)
-    hit[order] = table[np.searchsorted(table, keys[order])] == keys[order]
-    return hit.reshape(a.shape) @ (np.int64(1) << np.arange(len(hi), dtype=np.int64))
+    hi, lo, weights = _bit_layout(nodes.shape[1])
+    return graph.has_edges(nodes[:, hi], nodes[:, lo]) @ weights

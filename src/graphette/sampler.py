@@ -8,17 +8,24 @@ oracle for small hosts.
 
 Identification runs in numpy batches of up to BATCH k-sets: one searchsorted
 over the host's edge keys for every edge test of the batch, one fancy-indexed
-table decode, and bincounts into the tallies.  Uniform k-sets are drawn as a
-batch; expansion draws go one at a time through draw_sample and are then
-identified together.  accumulate is the batch-of-one case.  The orbit degree
-vector (ODV) is sparse: each batch's flat (node, orbit) ids are tallied into
-sorted (id, count) pairs, which are folded into the accumulator's pairs, so
-no n x W array exists from sample to report; SampleAccumulator.odv builds
-the dense array only on request.  estimate lays the frequencies over the
-accumulator's arrays without copying them, and write_report_tsv lays out the
-rows with a nonzero cell a chunk at a time and writes the all-zero rows from
-one prebuilt string.  sample_distribution's `workers` splits the draws into
-that many seeded streams, run one after another.
+table decode, and bincounts into the tallies.  Every strategy draws a whole
+block of k-sets at once in _draw_batch, and draw_sample is its batch of one.
+Local and edge expansion grow every row of the block one column at a time:
+each row draws one of its Σdeg(S) adjacency slots, which picks a selected
+node u in proportion to its degree and then a uniform neighbor v of u; v is
+rejected if already selected and otherwise accepted with probability
+1 / c(v), c(v) being its number of selected neighbors, so every frontier
+node is equally likely.  A row whose cut Σdeg(S) - 2e(S) is 0 has no
+frontier and restarts at a uniform unselected node.  accumulate is the
+batch-of-one identify.  The orbit degree vector (ODV) is sparse: each
+batch's flat (node, orbit) ids are tallied into sorted (id, count) pairs,
+which are folded into the accumulator's pairs, so no n x W array exists from
+sample to report; SampleAccumulator.odv builds the dense array only on
+request.  estimate lays the frequencies over the accumulator's arrays without
+copying them, and write_report_tsv formats only the nonzero counts, slicing
+every run of zeros from one prebuilt string.  sample_distribution's
+`workers` splits the draws into that many seeded streams, run one after
+another.
 """
 
 from __future__ import annotations
@@ -39,8 +46,9 @@ from .store import TableSet
 
 DEFAULT_ENUMERATION_BOUND = 10_000_000
 BATCH = 4096  # k-sets identified per numpy batch; bounds the batch arrays
+EXTEND_TRIES = 256  # candidates per _extend round, shared by the rows still waiting
 TALLY_BINCOUNT_SPAN = 4  # _tally bincounts a batch whose ids span under 4x its length
-REPORT_CHUNK_CELLS = 1 << 20  # ODV cells laid out, or zero-row cells joined, per report write
+REPORT_CHUNK_CELLS = 1 << 20  # ODV cells formatted, or zero-row cells joined, per report write
 
 
 class GraphFormatError(ValueError):
@@ -118,29 +126,83 @@ def _uniform_batch(rng: np.random.Generator, n: int, k: int, size: int) -> np.nd
     return np.concatenate(kept)
 
 
-def _expand(
-    graph: HostGraph, rng: np.random.Generator, selected: list[int], k: int
-) -> list[int]:
-    """Grow a selection to k nodes by uniform frontier draws.
+def _extend(graph: HostGraph, rng: np.random.Generator, selected: np.ndarray,
+            inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One more node for every row of a (B, j) selection, uniform over the
+    row's frontier N(S) - S, and its number of neighbors in the selection.
 
-    The frontier is the union of neighbors of selected nodes minus the
-    selection; when it is empty (component exhausted) a uniform unused node
-    restarts the growth, so disconnected hosts still yield samples.
+    `inner` holds each row's e(S), the edges inside its selection, so the cut
+    Σdeg(S) - 2e(S) tells exactly which frontiers are empty.  A row with a
+    frontier draws a slot uniform over its Σdeg(S) adjacency slots: a selected
+    node u with probability deg(u) / Σdeg(S), then a uniform neighbor v of u.
+    That reaches v with probability c(v) / Σdeg(S), where c(v) = |N(v) ∩ S|,
+    so v is rejected when it is already selected and otherwise accepted with
+    probability 1 / c(v), which leaves every frontier node equally likely.
+    Rows draw independent tries until one is accepted, several per round
+    when few rows are left waiting (a dense host may reject most tries).  A
+    row with an empty frontier (its component is exhausted) takes a uniform
+    node not yet selected, whose c(v) is 0.
     """
-    chosen = set(selected)
-    while len(selected) < k:
-        frontier = sorted(
-            {int(v) for u in selected for v in graph.neighbors(u)} - chosen
-        )
-        if frontier:
-            nxt = frontier[int(rng.integers(len(frontier)))]
-        else:
-            nxt = int(rng.integers(graph.n))
-            while nxt in chosen:
-                nxt = int(rng.integers(graph.n))
-        selected.append(nxt)
-        chosen.add(nxt)
-    return selected
+    degrees = graph.degrees(selected)
+    cum = np.cumsum(degrees, axis=1)
+    before = cum - degrees  # slots ahead of each selected node in its row
+    new = np.empty(len(selected), dtype=np.int64)
+    links = np.zeros(len(selected), dtype=np.int64)
+    waiting = cum[:, -1] != 2 * inner  # a cut edge: the frontier is not empty
+    rows = np.flatnonzero(~waiting)
+    while rows.size:
+        v = rng.integers(graph.n, size=rows.size)
+        taken = (selected[rows] == v[:, None]).any(axis=1)
+        new[rows[~taken]] = v[~taken]
+        rows = rows[taken]
+    rows = np.flatnonzero(waiting)
+    while rows.size:
+        # A round gives each waiting row an equal share of EXTEND_TRIES
+        # candidates (at least one) and keeps its first accepted one.
+        tries = np.repeat(rows, max(1, EXTEND_TRIES // len(rows)))
+        sel, row_cum = selected[tries], cum[tries]
+        slot = rng.integers(row_cum[:, -1])
+        pos = (row_cum <= slot[:, None]).sum(axis=1)
+        v = graph.neighbor(sel[np.arange(len(tries)), pos], slot - before[tries, pos])
+        c = graph.has_edges(v[:, None], sel).sum(axis=1)  # (v, v) tests False
+        ok = np.flatnonzero(~(sel == v[:, None]).any(axis=1) & (rng.random(len(tries)) * c < 1))
+        ok = ok[np.diff(tries[ok], prepend=-1) != 0]
+        new[tries[ok]], links[tries[ok]] = v[ok], c[ok]
+        waiting[tries[ok]] = False
+        rows = rows[waiting[rows]]
+    return new, links
+
+
+def _draw_batch(graph: HostGraph, rng: np.random.Generator, k: int,
+                strategy: SamplingStrategy, size: int) -> np.ndarray:
+    """(size, k) int64 rows of distinct host labels, drawn by the strategy.
+
+    Uniform rows come from _uniform_batch.  Local expansion starts each row
+    at a uniform node, edge expansion at both ends of a uniform edge (the
+    lower end alone when k = 1); the rows then grow one column at a time by
+    _extend, which adds a node uniform over the row's frontier, or a uniform
+    unselected node when the frontier is empty.
+    """
+    if graph.n < k:
+        raise ValueError(f"host graph has {graph.n} nodes, cannot sample k={k}")
+    if strategy is SamplingStrategy.UNIFORM:
+        return _uniform_batch(rng, graph.n, k, size)
+    nodes = np.empty((size, k), dtype=np.int64)
+    if strategy is SamplingStrategy.LOCAL_EXPANSION:
+        start = 1
+        nodes[:, 0] = rng.integers(graph.n, size=size)
+    elif strategy is SamplingStrategy.EDGE_EXPANSION:
+        if graph.edge_count == 0:
+            raise ValueError("edge expansion needs at least one edge")
+        start = min(2, k)
+        nodes[:, :start] = graph.edge_array[rng.integers(graph.edge_count, size=size), :start]
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    inner = np.full(size, start - 1, dtype=np.int64)  # e(S): one edge or none
+    for j in range(start, k):
+        nodes[:, j], links = _extend(graph, rng, nodes[:, :j], inner)
+        inner += links
+    return nodes
 
 
 def draw_sample(
@@ -149,19 +211,8 @@ def draw_sample(
     strategy: SamplingStrategy,
     rng: np.random.Generator,
 ) -> list[int]:
-    """Draw k distinct node labels by the requested strategy."""
-    if graph.n < k:
-        raise ValueError(f"host graph has {graph.n} nodes, cannot sample k={k}")
-    if strategy is SamplingStrategy.UNIFORM:
-        return _uniform_batch(rng, graph.n, k, 1)[0].tolist()
-    if strategy is SamplingStrategy.LOCAL_EXPANSION:
-        return _expand(graph, rng, [int(rng.integers(graph.n))], k)
-    if strategy is SamplingStrategy.EDGE_EXPANSION:
-        if graph.edge_count == 0:
-            raise ValueError("edge expansion needs at least one edge")
-        u, v = graph.edge_array[int(rng.integers(graph.edge_count))]
-        return _expand(graph, rng, [int(u), int(v)][:k], k)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    """Draw k distinct node labels by the requested strategy: the batch of one."""
+    return _draw_batch(graph, rng, k, strategy, 1)[0].tolist()
 
 
 def _sum_sorted(keys: np.ndarray, counts: np.ndarray | None = None
@@ -353,20 +404,13 @@ def sample_distribution(
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     k = tables.k
-    if graph.n < k:
-        raise ValueError(f"host graph has {graph.n} nodes, cannot sample k={k}")
     acc = SampleAccumulator.empty(tables, graph.n)
     for worker in range(workers):
         rng = np.random.default_rng([seed, worker])
         quota = n_samples // workers + (1 if worker < n_samples % workers else 0)
         while quota:
             size = min(quota, BATCH)
-            if strategy is SamplingStrategy.UNIFORM:
-                nodes = _uniform_batch(rng, graph.n, k, size)
-            else:
-                nodes = np.array([draw_sample(graph, k, strategy, rng) for _ in range(size)],
-                                 dtype=np.int64)
-            _identify(acc, graph, nodes, tables)
+            _identify(acc, graph, _draw_batch(graph, rng, k, strategy, size), tables)
             quota -= size
     acc._fold()
     return acc
@@ -443,10 +487,10 @@ def write_report_tsv(report: GraphetteReport, out: IO[str]) -> None:
     """Write the three report sections as TSV; identical schema for sampled
     and exhaustive runs so the outputs diff cleanly.
 
-    The ODV section reads the sparse pairs: rows with a nonzero cell are laid
-    out densely REPORT_CHUNK_CELLS cells at a time, and the all-zero rows
-    between them are joined from one prebuilt string, so no (rows, W) array
-    larger than a chunk exists.
+    The ODV section reads the sparse pairs: only the nonzero counts are
+    formatted, and every run of zero cells is a slice of one prebuilt
+    all-zero row string.  Rows are written REPORT_CHUNK_CELLS cells' worth
+    at a time, which bounds the text held at once.
     """
     out.write(f"# graphettes\tk={report.k}\tsamples={report.n_samples}\n")
     out.write("canonical_id\tbits\tconnected\tcount\tfrequency\n")
@@ -477,15 +521,21 @@ def write_report_tsv(report: GraphetteReport, out: IO[str]) -> None:
     firsts = np.flatnonzero(np.diff(rows, prepend=-1))  # each used row's first pair
     used = rows[firsts]
     bounds = np.append(firsts, len(rows))
+    # zero_tail[:lead] is the run of zero cells ahead of each pair in its row,
+    # zero_tail[trail:] the zero cells and newline after each row's last pair
+    lead = 2 * (np.diff(cols, prepend=-1) - 1)
+    lead[firsts] = 2 * cols[firsts]
+    trail = 2 * (cols[bounds[1:] - 1] + 1)
     done = 0  # rows written so far
     for lo in range(0, len(used), step):
-        chunk = used[lo:lo + step]
-        a, b = bounds[lo], bounds[lo + len(chunk)]
-        block = np.zeros((len(chunk), orbits), dtype=np.int64)
-        block[np.searchsorted(chunk, rows[a:b]), cols[a:b]] = report.odv_counts[a:b]
-        for v, cells in zip(chunk.tolist(), block.tolist()):
+        hi = min(lo + step, len(used))
+        a, b = bounds[lo], bounds[hi]
+        cells = [zero_tail[:z] + "\t" + str(x)
+                 for z, x in zip(lead[a:b].tolist(), report.odv_counts[a:b].tolist())]
+        for v, start, stop, t in zip(used[lo:hi].tolist(), (bounds[lo:hi] - a).tolist(),
+                                     (bounds[lo + 1:hi + 1] - a).tolist(), trail[lo:hi].tolist()):
             zero_rows(done, v)
-            out.write(names[v] + "\t" + "\t".join(map(str, cells)) + "\n")
+            out.write(names[v] + "".join(cells[start:stop]) + zero_tail[t:])
             done = v + 1
     zero_rows(done, len(names))
 

@@ -10,6 +10,7 @@ from graphette.sampler import (
     GraphFormatError,
     SampleAccumulator,
     SamplingStrategy,
+    _draw_batch,
     accumulate,
     draw_sample,
     estimate,
@@ -19,6 +20,7 @@ from graphette.sampler import (
     sample_distribution,
     write_report_tsv,
 )
+from graphette.store import TableSet
 
 
 def complete_host(n: int) -> HostGraph:
@@ -344,3 +346,124 @@ def test_report_odv_rows_on_a_sparse_host(tables4):
     assert 0 < acc.odv.any(axis=1).sum() < host.n // 10
     for v, line in enumerate(rows):
         assert line == host.names[v] + "\t" + "\t".join(str(int(x)) for x in acc.odv[v])
+
+
+# --- batched expansion draws ------------------------------------------------
+
+# a hub (0), a triangle on it (0, 1, 2), a pendant path (4-5-6-7) and a
+# separate edge (8-9): frontiers of every size, c(v) of 1 and 2, and rows
+# whose component runs out mid-growth
+LAW_HOST_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (4, 5), (5, 6), (6, 7), (8, 9)]
+
+
+def frontier_law(host, k, strategy):
+    """Exact probability of every ordered k-sequence under the frontier rule:
+    each step adds a node uniform over N(S) - S, or uniform over the unselected
+    nodes when that frontier is empty."""
+    from fractions import Fraction
+
+    adj = [set(host.neighbors(u).tolist()) for u in range(host.n)]
+    if strategy is SamplingStrategy.LOCAL_EXPANSION:
+        stack = [((u,), Fraction(1, host.n)) for u in range(host.n)]
+    else:
+        stack = [(tuple(e)[:k], Fraction(1, host.edge_count)) for e in host.edge_array.tolist()]
+    law = {}
+    while stack:
+        seq, p = stack.pop()
+        if len(seq) == k:
+            law[seq] = law.get(seq, 0) + p
+            continue
+        pool = set().union(*(adj[u] for u in seq)) - set(seq)
+        pool = pool or set(range(host.n)) - set(seq)
+        stack.extend((seq + (v,), p / len(pool)) for v in pool)
+    return law
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("strategy", [SamplingStrategy.LOCAL_EXPANSION,
+                                      SamplingStrategy.EDGE_EXPANSION])
+def test_expansion_draws_follow_the_frontier_law(strategy, k):
+    host = HostGraph(10, LAW_HOST_EDGES)
+    law = frontier_law(host, k, strategy)
+    assert sum(law.values()) == 1
+    draws = 200_000
+    rows = _draw_batch(host, np.random.default_rng([22, k]), k, strategy, draws)
+    seqs, counts = np.unique(rows, axis=0, return_counts=True)
+    seen = dict(zip(map(tuple, seqs.tolist()), counts.tolist()))
+    assert set(seen) <= set(law)  # no impossible sequence
+    chi2 = sum((seen.get(seq, 0) - draws * float(p)) ** 2 / (draws * float(p))
+               for seq, p in law.items())
+    cells = len(law) - 1  # degrees of freedom
+    assert chi2 < cells + 6 * np.sqrt(2 * cells)
+
+
+@pytest.mark.parametrize("strategy", list(SamplingStrategy))
+def test_draw_sample_is_the_batch_of_one(strategy):
+    host = HostGraph(10, LAW_HOST_EDGES)
+    for seed in range(20):
+        one = draw_sample(host, 4, strategy, np.random.default_rng(seed))
+        assert one == _draw_batch(host, np.random.default_rng(seed), 4, strategy, 1)[0].tolist()
+
+
+def test_edge_expansion_at_k1_and_k2():
+    host = HostGraph(10, LAW_HOST_EDGES)
+    rng = np.random.default_rng(23)
+    ones = _draw_batch(host, rng, 1, SamplingStrategy.EDGE_EXPANSION, 2000)
+    assert ones.shape == (2000, 1)
+    # k=1 keeps the lower end of a uniform edge: node 0 ends 4 of 9 edges
+    assert set(ones[:, 0].tolist()) == {0, 1, 4, 5, 6, 8}
+    assert 0.35 < np.mean(ones[:, 0] == 0) < 0.55
+    pairs = _draw_batch(host, rng, 2, SamplingStrategy.EDGE_EXPANSION, 2000)
+    assert all(host.has_edge(u, v) for u, v in pairs.tolist())
+    tables2 = TableSet.build(2)
+    acc = sample_distribution(host, tables2, 500, strategy=SamplingStrategy.EDGE_EXPANSION,
+                              seed=24)
+    assert acc.graphette_counts[int(tables2.table.canonical_id[1])] == 500
+
+
+def test_expansion_restarts_when_the_component_runs_out():
+    host = HostGraph(10, LAW_HOST_EDGES)
+    rows = _draw_batch(host, np.random.default_rng(25), 4,
+                       SamplingStrategy.LOCAL_EXPANSION, 20_000)
+    assert (np.sort(rows, axis=1)[:, 1:] != np.sort(rows, axis=1)[:, :-1]).all()
+    stranded = rows[rows[:, 0] == 8]  # {8, 9} runs out after the second node
+    assert len(stranded) > 1000
+    assert (stranded[:, 1] == 9).all()
+    # the restart is uniform over the eight unselected nodes ...
+    restarts = np.bincount(stranded[:, 2], minlength=10)
+    assert restarts[8:].sum() == 0
+    assert (np.abs(restarts[:8] - len(stranded) / 8) < 5 * np.sqrt(len(stranded) / 8)).all()
+    # ... and growth then resumes from the restarted node's frontier
+    assert all(host.has_edge(u, v) for u, v in stranded[:, 2:].tolist())
+
+
+def test_sample_distribution_edge_expansion_needs_an_edge(tables3):
+    with pytest.raises(ValueError, match="at least one edge"):
+        sample_distribution(HostGraph(6, []), tables3, 10,
+                            strategy=SamplingStrategy.EDGE_EXPANSION, seed=26)
+
+
+# --- report layout -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 6, 1 << 20])
+def test_report_odv_rows_with_nonzero_first_last_and_every_cell(tables3, monkeypatch,
+                                                                chunk_cells):
+    monkeypatch.setattr("graphette.sampler.REPORT_CHUNK_CELLS", chunk_cells)
+    host = HostGraph(7, [(0, 1)])
+    acc = SampleAccumulator.empty(tables3, host.n)
+    orbits = tables3.orbits.total_orbits  # 6 at k=3
+    # node 0: first cell only; node 2: last cell only; node 3: every cell;
+    # node 5: two inner cells; nodes 1, 4 and 6 stay zero.  144 (node, orbit)
+    # hits, laid out as 48 rows of k=3 (the rows need not be samples).
+    pairs = [(0, 0, 12), (2, orbits - 1, 1), *((3, w, w + 1) for w in range(orbits)),
+             (5, 2, 100), (5, 3, 10)]
+    nodes = np.array([v for v, _, times in pairs for _ in range(times)]).reshape(-1, 3)
+    orbit_ids = np.array([w for _, w, times in pairs for _ in range(times)]).reshape(-1, 3)
+    acc.add_batch(nodes, np.zeros(len(nodes), dtype=np.int64), orbit_ids)
+    dense = acc.odv
+    assert dense[0, 0] and dense[2, -1] and dense[3].all()
+    lines = report_to_string(estimate(acc, tables3, host)).splitlines()
+    rows = lines[lines.index("# odv") + 2:]
+    assert rows == [host.names[v] + "\t" + "\t".join(map(str, dense[v].tolist()))
+                    for v in range(host.n)]
