@@ -19,6 +19,10 @@ global canonical; when that member is not the canonical, the canonical is
 relabeled instead, so every range stores each member's least witness onto
 the global canonical and the merge only assembles records.  The relabelings
 that fix a canonical are its automorphisms; node orbits are read off them.
+
+A range holds one uint64 slot per bit vector, which the merge turns into that
+vector's record in place, so a one-shot build holds 8 bytes per entry (2 GiB
+at k=8) and a partitioned one 16.
 """
 
 from __future__ import annotations
@@ -36,16 +40,23 @@ from .core import (
     Permutation,
     adjacency_masks,
     bit_length,
+    check_memory,
     degree_sequence,
     degrees,
     is_connected,
 )
 
 MAX_BUILD_K = 8          # b(8)=28 record bits; beyond this the table does not fit the format
-MAX_SEQUENTIAL_K = 7     # one-shot scan is practical up to here; k=8 needs partitioned runs
-_KEY_SENTINEL = np.iinfo(np.uint32).max  # witness keys are < 8^8 = 2^24
-_UNCLAIMED = np.iinfo(np.uint16).max     # tc_index of a vector no class has reached
-_SCAN_CHUNK = 1 << 12                    # entries compared per step of the unclaimed scan
+_SCAN_CHUNK = 1 << 12    # entries compared per step of the unclaimed scan
+_RECORD_CHUNK = 1 << 16  # slots turned into records per step of the merge
+
+# Slot layout while a range is sifted, one u64 per bit vector: bits 0-15 the
+# index of its temporary canonical in the range, bits 40-63 the key of its
+# least witness; all ones until a class claims the vector.  The key is the
+# high field, so the least slot a claim offers an entry holds its least key.
+SLOT_TEMP_MASK = (1 << 16) - 1  # < 12,346 temporary canonicals per range even at k=8
+SLOT_KEY_SHIFT = 40             # witness keys are < 8^8 = 2^24
+_OPEN_SLOT = np.uint64(2**64 - 1)
 
 # Record layout, one little-endian u64 per bit vector: bits 0-13 canonical id,
 # bit 14 connected flag, bits 16-39 witness permutation at 3 bits per node
@@ -135,8 +146,8 @@ class SiftPartition:
 
     temp_canonicals holds the lowest member of each class local to the range
     and temp_minima the class's global canonical (the least of its k!
-    relabelings).  tc_index[b - lo] (uint16) points at the temp canonical of
-    member b, and witness_key[b - lo] is the lexicographic key of the least
+    relabelings).  slots[b - lo] packs, in the slot layout above, the index
+    of member b's temp canonical and the lexicographic key of the least
     permutation sending b onto the global canonical: the witness the table
     stores for b.  automorphisms holds the automorphism rows of each temp
     canonical that is its own minimum, in temp order.
@@ -148,8 +159,7 @@ class SiftPartition:
     temp_canonicals: np.ndarray
     temp_minima: np.ndarray
     automorphisms: list[np.ndarray]
-    tc_index: np.ndarray
-    witness_key: np.ndarray
+    slots: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -242,22 +252,22 @@ def _lex_weights(k: int) -> np.ndarray:
     return np.array([8 ** (k - 1 - u) for u in range(k)], dtype=np.int64)
 
 
-def _next_unmarked(marks: np.ndarray, start: int) -> int:
-    """Index of the first unclaimed entry at or after start, or len(marks)."""
-    size = len(marks)
+def _next_open(slots: np.ndarray, start: int) -> int:
+    """Index of the first unclaimed slot at or after start, or len(slots)."""
+    size = len(slots)
     pos = start
     while pos < size:
         stop = min(pos + _SCAN_CHUNK, size)
-        hits = np.flatnonzero(marks[pos:stop] == _UNCLAIMED)
+        hits = np.flatnonzero(slots[pos:stop] == _OPEN_SLOT)
         if len(hits):
             return pos + int(hits[0])
         pos = stop
     return size
 
 
-def _check_build_k(k: int, limit: int) -> None:
-    if not 1 <= k <= limit:
-        raise ValueError(f"table building supports k in 1..{limit}, got {k}")
+def _check_build_k(k: int) -> None:
+    if not 1 <= k <= MAX_BUILD_K:
+        raise ValueError(f"table building supports k in 1..{MAX_BUILD_K}, got {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +282,11 @@ def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
     class and becomes its temporary canonical.  All k! relabelings of t are
     computed in one vectorized pass; their least is the class's global
     canonical c.  If c differs from t, c is relabeled instead, which yields
-    the same class.  The relabelings inside [lo, hi) are marked with the
-    least witness onto c.
+    the same class.  Each relabeling inside [lo, hi) offers its slot the
+    temp's index and the permutation's witness key, and the slot keeps the
+    least offer: the least witness onto c.
     """
-    _check_build_k(k, MAX_BUILD_K)
+    _check_build_k(k)
     size = 1 << bit_length(k)
     if not (0 <= lo < hi <= size):
         raise ValueError(f"empty or out-of-range partition [{lo}, {hi}) for k={k}")
@@ -285,16 +296,16 @@ def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
     def relabelings(bits: int) -> np.ndarray:
         return np.bitwise_or.reduce(edge_images[bits >> edge_bits & 1 == 1], axis=0)
 
+    key_hi = inv_keys.astype(np.uint64) << np.uint64(SLOT_KEY_SHIFT)
     span = hi - lo
-    tc_index = np.full(span, _UNCLAIMED, dtype=np.uint16)  # < 12,346 classes even at k=8
-    wit_key = np.full(span, _KEY_SENTINEL, dtype=np.uint32)
+    slots = np.full(span, _OPEN_SLOT, dtype=np.uint64)
     temps: list[int] = []
     minima: list[int] = []
     auts: list[np.ndarray] = []
 
     cursor = 0
     while True:
-        cursor = _next_unmarked(tc_index, cursor)
+        cursor = _next_open(slots, cursor)
         if cursor >= span:
             break
         bits = lo + cursor
@@ -305,9 +316,7 @@ def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
         else:
             images = relabelings(low)
         inside = (images >= lo) & (images < hi)
-        local = images[inside] - lo
-        tc_index[local] = len(temps)
-        np.minimum.at(wit_key, local, inv_keys[inside])
+        np.minimum.at(slots, images[inside] - lo, key_hi[inside] | np.uint64(len(temps)))
         temps.append(bits)
         minima.append(low)
         cursor += 1
@@ -319,8 +328,7 @@ def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
         temp_canonicals=np.array(temps, dtype=np.int64),
         temp_minima=np.array(minima, dtype=np.int64),
         automorphisms=auts,
-        tc_index=tc_index,
-        witness_key=wit_key,
+        slots=slots,
     )
 
 
@@ -350,16 +358,18 @@ def _validate_tiling(parts: Sequence[SiftPartition]) -> list[SiftPartition]:
 def merge_siftings(parts: Sequence[SiftPartition]) -> tuple[CanonicalCatalog, LookupTable]:
     """Fuse per-range siftings into the global catalog and lookup table.
 
-    The canonicals are the temp canonicals that are their own minimum (the
-    class's lowest member always survives its own range).  Every range
-    already holds each member's least witness onto its global canonical, so
-    the merge only assembles records: canonical id and connected flag through
-    tc_index, witness digits from witness_key.  Node u's orbit label is the
-    least image of u under the automorphisms.
+    The merge takes ownership of the parts: a single range's slots become
+    the table's records in place, and the slots of several ranges are turned
+    into records in one new array.  The canonicals are the temp canonicals
+    that are their own minimum (the class's lowest member always survives
+    its own range).  Every range already holds each member's least witness
+    onto its global canonical, so the merge only assembles records:
+    canonical id and connected flag through the slot's temp index, witness
+    digits from its key.  Node u's orbit label is the least image of u
+    under the automorphisms.
     """
     ordered = _validate_tiling(parts)
     k = ordered[0].k
-    digit_shifts = 3 * np.arange(k - 1, -1, -1, dtype=np.uint32)
 
     temps = np.concatenate([p.temp_canonicals for p in ordered])
     minima = np.concatenate([p.temp_minima for p in ordered])
@@ -370,22 +380,37 @@ def merge_siftings(parts: Sequence[SiftPartition]) -> tuple[CanonicalCatalog, Lo
     temp_cid = np.searchsorted(canonicals, minima)
     temp_low = temp_cid.astype(np.uint64) | connected[temp_cid].astype(np.uint64) << CONNECTED_BIT
 
-    records = np.empty(1 << bit_length(k), dtype=RECORD_DTYPE)
+    if len(ordered) == 1:
+        records = ordered[0].slots
+    else:
+        records = np.empty(1 << bit_length(k), dtype=RECORD_DTYPE)
     base = 0
     for part in ordered:
         stop = base + len(part.temp_canonicals)
-        out = records[part.lo:part.hi]
-        np.take(temp_low[base:stop], part.tc_index, out=out, mode="clip")
-        digit = np.empty(len(out), dtype=np.uint64)
-        for u, shift in enumerate(digit_shifts):
-            np.right_shift(part.witness_key, shift, out=digit)
-            digit &= 7
-            digit <<= WITNESS_SHIFT + 3 * u
-            out |= digit
+        _slots_to_records(k, part.slots, temp_low[base:stop], records[part.lo:part.hi])
         base = stop
 
     labels = [tuple(a.min(axis=0).tolist()) for a in auts]
     return CanonicalCatalog(k, canonicals, connected, labels), LookupTable(k, records)
+
+
+def _slots_to_records(k: int, slots: np.ndarray, temp_low: np.ndarray, out: np.ndarray) -> None:
+    """Write the record of each sifted slot into out, which may be slots itself.
+
+    temp_low holds the id and connected bits of each temp canonical of the
+    range.  The key's base-8 digits, node 0's most significant, are moved to
+    the witness field, node 0's least significant.  Chunks bound the
+    temporaries.
+    """
+    digit_shifts = [(np.uint64(3 * (k - 1 - u)), np.uint64(WITNESS_SHIFT + 3 * u))
+                    for u in range(k)]
+    for start in range(0, len(slots), _RECORD_CHUNK):
+        chunk = slots[start:start + _RECORD_CHUNK]
+        keys = chunk >> np.uint64(SLOT_KEY_SHIFT)
+        rec = temp_low[chunk & np.uint64(SLOT_TEMP_MASK)]
+        for key_shift, field_shift in digit_shifts:
+            rec |= (keys >> key_shift & np.uint64(7)) << field_shift
+        out[start:start + _RECORD_CHUNK] = rec
 
 
 def partition_ranges(k: int, m: int) -> list[tuple[int, int]]:
@@ -406,8 +431,11 @@ def build_canonical_map_parallel(
     Output is identical for every m, worker count and completion order;
     m=1 is the one-shot build.
     """
-    _check_build_k(k, MAX_BUILD_K)
+    _check_build_k(k)
     ranges = partition_ranges(k, m)
+    # 8 bytes per entry for the sifted slots, 8 more for the records of a split build
+    check_memory(8 << bit_length(k) if len(ranges) == 1 else 16 << bit_length(k),
+                 f"a k={k} table build from {len(ranges)} ranges")
     if workers > 1 and len(ranges) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             los, his = zip(*ranges)
@@ -418,6 +446,5 @@ def build_canonical_map_parallel(
 
 
 def build_canonical_map_sequential(k: int) -> tuple[CanonicalCatalog, LookupTable]:
-    """The one-shot build: the whole bit-vector space as one sifted range (k <= 7)."""
-    _check_build_k(k, MAX_SEQUENTIAL_K)
+    """The one-shot build: the whole bit-vector space as one sifted range."""
     return build_canonical_map_parallel(k, 1)

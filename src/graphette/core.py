@@ -9,6 +9,7 @@ written by this package depend on it.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -16,6 +17,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MAX_K = 12  # b(12) = 66 bits still fits a Python int with room to spare
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Refuse up front an allocation of more than half of physical memory.
+
+    Raises ValueError naming what would be allocated and both byte counts.
+    """
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    if nbytes > limit:
+        raise ValueError(
+            f"{what} needs {nbytes} bytes, more than half of physical memory ({limit} bytes)"
+        )
 
 
 def bit_length(k: int) -> int:
@@ -190,8 +203,9 @@ class HostGraph:
 
     Adjacency is stored in compressed sparse rows (sorted neighbor arrays), so
     a single edge test is a binary search in one node's neighbor list.
-    Batched edge tests search the sorted edge keys u*n + v (u < v) instead.
-    Edge list, rows and keys take 40 bytes per edge.
+    Batched edge tests search the sorted edge keys u*n + v (u < v) instead,
+    and the edge list is decoded from them.  Rows and keys take 24 bytes per
+    edge.
     """
 
     def __init__(self, n: int, edges: "Iterable[tuple[int, int]] | np.ndarray",
@@ -221,7 +235,6 @@ class HostGraph:
         keys = np.sort(arr.min(axis=1) * n + arr.max(axis=1))
         keys = keys[np.diff(keys, prepend=-1) != 0]
         self._edge_keys = np.append(keys, n * n)
-        self.edge_array = np.stack([keys // n, keys % n], axis=1)  # (m, 2), lexicographically sorted
         # Both orientations' keys, sorted: row u is the run [u*n, (u+1)*n).
         both = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
         self._indptr = np.searchsorted(both, np.arange(n + 1, dtype=np.int64) * n)
@@ -229,7 +242,16 @@ class HostGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edge_array)
+        return len(self._edge_keys) - 1
+
+    def edge_ends(self, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ends (u, v), u < v, of the i-th edges in sorted order (unchecked)."""
+        return np.divmod(self._edge_keys[i], self.n)
+
+    @property
+    def edge_array(self) -> np.ndarray:
+        """(m, 2) edges (u, v), u < v, lexicographically sorted; built on each read."""
+        return np.stack(self.edge_ends(slice(0, self.edge_count)), axis=1)
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor labels of u (a view; do not mutate)."""

@@ -60,14 +60,14 @@ class GlobalOrbitIndex:
     """Consecutive orbit numbering across a whole catalog.
 
     The global id of a node's orbit is bases[canonical_id] plus the rank of
-    its local label among that canonical's sorted labels; local_ranks caches
-    that rank for every (canonical, node) pair.
+    its local label among that canonical's sorted labels; node_ids[c, u]
+    holds that id for node u of canonical c, so a decode is one gather.
     """
 
     k: int
     bases: np.ndarray
     total_orbits: int
-    local_ranks: np.ndarray
+    node_ids: np.ndarray
 
 
 def generate_automorphisms(g: Graphette) -> AutomorphismSet:
@@ -153,13 +153,12 @@ def assign_global_orbit_ids(catalog: CanonicalCatalog) -> GlobalOrbitIndex:
         raise ValueError("catalog is missing orbit partitions; run compute_orbit_partitions")
     k = catalog.k
     bases = np.zeros(len(catalog), dtype=np.int64)
-    local_ranks = np.zeros((len(catalog), k), dtype=np.uint8)
+    node_ids = np.zeros((len(catalog), k), dtype=np.int64)
     total = 0
     for cid, labels in enumerate(catalog.orbit_labels):
         distinct = sorted(set(labels))
         rank = {label: r for r, label in enumerate(distinct)}
-        for u, label in enumerate(labels):
-            local_ranks[cid, u] = rank[label]
+        node_ids[cid] = [total + rank[label] for label in labels]
         bases[cid] = total
         total += len(distinct)
-    return GlobalOrbitIndex(k=k, bases=bases, total_orbits=total, local_ranks=local_ranks)
+    return GlobalOrbitIndex(k=k, bases=bases, total_orbits=total, node_ids=node_ids)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, islice
@@ -41,7 +40,7 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .core import HostGraph, check_nodes, induced_bits_batch
+from .core import HostGraph, check_memory, check_nodes, induced_bits_batch
 from .store import TableSet
 
 DEFAULT_ENUMERATION_BOUND = 10_000_000
@@ -195,7 +194,8 @@ def _draw_batch(graph: HostGraph, rng: np.random.Generator, k: int,
         if graph.edge_count == 0:
             raise ValueError("edge expansion needs at least one edge")
         start = min(2, k)
-        nodes[:, :start] = graph.edge_array[rng.integers(graph.edge_count, size=size), :start]
+        ends = graph.edge_ends(rng.integers(graph.edge_count, size=size))
+        nodes[:, :start] = np.stack(ends[:start], axis=1)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     inner = np.full(size, start - 1, dtype=np.int64)  # e(S): one edge or none
@@ -331,13 +331,7 @@ class SampleAccumulator:
         Raises ValueError when it would take more than half of physical memory.
         """
         orbits = len(self.orbit_counts)
-        nbytes = self.host_nodes * orbits * 8
-        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
-        if nbytes > limit:
-            raise ValueError(
-                f"a dense {self.host_nodes} x {orbits} ODV needs {nbytes} bytes, "
-                f"more than half of physical memory ({limit} bytes)"
-            )
+        check_memory(self.host_nodes * orbits * 8, f"a dense {self.host_nodes} x {orbits} ODV")
         odv = np.zeros((self.host_nodes, orbits), dtype=np.int64)
         odv.reshape(-1)[self.odv_keys] = self.odv_counts
         return odv

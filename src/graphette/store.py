@@ -285,10 +285,11 @@ class TableSet:
         """Canonical ids (B,) and global orbit ids (B, k) of B bit vectors.
 
         Node u of a graphette sits at position (witness >> 3u) & 7 of its
-        canonical, whose orbit there is bases[cid] + local_ranks[cid, pos].
+        canonical, whose global orbit there is orbits.node_ids[cid, pos],
+        gathered through the flat index cid * k + pos.
         """
         records = self.table.records[bits]
         cids = (records & ID_MASK).astype(np.intp)
         pos = (records[:, None] >> self._witness_shifts & 7).astype(np.intp)
-        orbit_ids = self.orbits.bases[cids][:, None] + self.orbits.local_ranks[cids[:, None], pos]
-        return cids, orbit_ids
+        pos += cids[:, None] * self.k
+        return cids, self.orbits.node_ids.reshape(-1)[pos]

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from graphette.canon import (
+    SLOT_KEY_SHIFT,
+    SLOT_TEMP_MASK,
     are_isomorphic,
     build_canonical_map_parallel,
     build_canonical_map_sequential,
@@ -197,7 +199,7 @@ def test_sequential_k_bounds():
     with pytest.raises(ValueError):
         build_canonical_map_sequential(0)
     with pytest.raises(ValueError):
-        build_canonical_map_sequential(8)
+        build_canonical_map_sequential(9)
 
 
 # --- sifting -----------------------------------------------------------------
@@ -212,11 +214,12 @@ def test_sift_single_partition_equals_sequential_catalog():
 def test_sift_k3_upper_half():
     part = sift_partition(3, 4, 8)
     assert part.temp_canonicals.tolist() == [4, 5, 7]
+    tc_index = part.slots & SLOT_TEMP_MASK
     # member 6 maps to temp canonical 5
-    assert part.temp_canonicals[part.tc_index[6 - 4]] == 5
+    assert part.temp_canonicals[tc_index[6 - 4]] == 5
     # temp canonicals map to themselves
     for tid, temp in enumerate(part.temp_canonicals.tolist()):
-        assert part.tc_index[temp - 4] == tid
+        assert tc_index[temp - 4] == tid
 
 
 @pytest.mark.parametrize("k, lo, hi", [(4, 16, 64), (5, 300, 700)])
@@ -224,15 +227,17 @@ def test_sift_witnesses_point_at_global_canonicals(k, lo, hi):
     part = sift_partition(k, lo, hi)
     # the range starts mid-space, so some temps are not canonicals
     assert (part.temp_minima != part.temp_canonicals).any()
+    tc_index = part.slots & SLOT_TEMP_MASK
+    witness_key = part.slots >> SLOT_KEY_SHIFT
     for b in range(lo, hi):
-        key = int(part.witness_key[b - lo])
+        key = int(witness_key[b - lo])
         witness = Permutation(tuple(key >> 3 * (k - 1 - u) & 7 for u in range(k)))
-        canonical = int(part.temp_minima[part.tc_index[b - lo]])
+        canonical = int(part.temp_minima[tc_index[b - lo]])
         assert apply_permutation(Graphette(k, b), witness).bits == canonical
     identity_key = sum(u * 8 ** (k - 1 - u) for u in range(k))
     for temp, low in zip(part.temp_canonicals.tolist(), part.temp_minima.tolist()):
         if temp == low:
-            assert part.witness_key[temp - lo] == identity_key
+            assert witness_key[temp - lo] == identity_key
 
 
 def test_sift_rejects_empty_range():

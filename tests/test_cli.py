@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from graphette.cli import EXIT_BOUND, EXIT_FORMAT, EXIT_IO, EXIT_OK, main
@@ -55,6 +57,16 @@ def test_build_table_rejects_k9(tmp_path, capsys):
     rc = main(["build-table", "-k", "9", "-o", str(tmp_path / "x.table")])
     assert rc == EXIT_FORMAT
     assert "error" in capsys.readouterr().err
+
+
+def test_build_table_refuses_more_than_half_of_memory(tmp_path, capsys, monkeypatch):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 150}  # 600 KiB of physical memory
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    out = tmp_path / "k6.table"
+    assert main(["build-table", "-k", "6", "-m", "2", "-o", str(out)]) == EXIT_FORMAT
+    assert "524288 bytes" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["build-table", "-k", "6", "-o", str(out)]) == EXIT_OK
 
 
 # --- query -------------------------------------------------------------------
@@ -203,9 +215,9 @@ def test_orbits_from_table_matches_on_the_fly(k4_table, tmp_path):
     assert a.read_text() == b.read_text()
 
 
-def test_orbits_rejects_k8(capsys):
-    assert main(["orbits", "-k", "8"]) == EXIT_FORMAT
-    assert "table file" in capsys.readouterr().err
+def test_orbits_rejects_k9(capsys):
+    assert main(["orbits", "-k", "9"]) == EXIT_FORMAT
+    assert "k in 1..8" in capsys.readouterr().err
 
 
 def test_subcommand_required():

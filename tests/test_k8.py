@@ -1,0 +1,103 @@
+"""The complete k=8 table, the paper's headline row (2^28 records).
+
+Opt-in, because one build takes about half a minute and 2 GiB of memory:
+
+    GRAPHETTE_K8=1 PYTHONPATH=src python -m pytest -q -s tests/test_k8.py
+"""
+
+import hashlib
+import itertools
+import os
+import random
+import resource
+import time
+
+import networkx as nx
+import numpy as np
+import pytest
+
+from graphette.core import Graphette, apply_permutation, bit_length, decode
+from graphette.orbits import orbit_partition
+from graphette.store import TableSet
+
+pytestmark = pytest.mark.skipif(
+    os.environ.get("GRAPHETTE_K8") != "1", reason="set GRAPHETTE_K8=1 to build the k=8 table"
+)
+
+K = 8
+# sha256 of the k=8 table file; every builder, one-shot or partitioned, must write it
+K8_SHA256 = "e21a7d11424fc12ffa80e9e3ed3769f701352a066b022389199285dcb24a7ec0"
+
+
+class HashSink:
+    """A write-only file that keeps the sha256 of everything written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, data) -> None:
+        self.digest.update(data)
+
+
+@pytest.fixture(scope="module")
+def k8():
+    start = time.perf_counter()
+    tables = TableSet.build(K)
+    built = time.perf_counter() - start
+    sink = HashSink()
+    tables.save(sink)
+    print(f"\nk=8 one-shot build {built:.1f} s, save {time.perf_counter() - start - built:.1f} s")
+    return tables, sink.digest.hexdigest()
+
+
+def test_k8_counts_and_file_hash(k8):
+    tables, sha256 = k8
+    assert len(tables.catalog) == 12346
+    assert tables.orbits.total_orbits == 79264
+    assert int(tables.catalog.connected.sum()) == 11117
+    assert sha256 == K8_SHA256
+
+
+PERMS = np.array(list(itertools.permutations(range(K))), dtype=np.int64)  # lexicographic
+
+
+def all_images(bits: int) -> np.ndarray:
+    """Bits of the graphette under every permutation in PERMS, straight from
+    the lower-triangle layout; shares no code with the builder."""
+    images = np.zeros(len(PERMS), dtype=np.int64)
+    for i, j in decode(Graphette(K, bits)):
+        hi = np.maximum(PERMS[:, i], PERMS[:, j])
+        lo = np.minimum(PERMS[:, i], PERMS[:, j])
+        images |= np.int64(1) << (hi * (hi - 1) // 2 + lo)
+    return images
+
+
+def test_k8_record_spot_checks(k8):
+    tables, _ = k8
+    rng = random.Random(8)
+    for bits in [rng.randrange(1 << bit_length(K)) for _ in range(300)]:
+        cid, witness, connected = tables.query(Graphette(K, bits))
+        canonical = int(tables.catalog.canonicals[cid])
+        assert apply_permutation(Graphette(K, bits), witness).bits == canonical
+        images = all_images(bits)
+        assert images.min() == canonical
+        # the first permutation onto the canonical is the lexicographically least
+        assert tuple(PERMS[np.argmax(images == canonical)].tolist()) == witness.mapping
+        graph = nx.Graph()
+        graph.add_nodes_from(range(K))
+        graph.add_edges_from(decode(Graphette(K, bits)))
+        assert connected == nx.is_connected(graph)
+
+
+def test_k8_orbit_labels_match_orbit_partition(k8):
+    tables, _ = k8
+    catalog = tables.catalog
+    for cid in random.Random(88).sample(range(len(catalog)), 200):
+        assert catalog.orbit_labels[cid] == orbit_partition(catalog.graphette(cid)).orbit_of
+
+
+def test_k8_peak_rss_under_half_of_memory(k8):
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024  # KiB on Linux
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    print(f"\nk=8 peak RSS {peak / 2**20:.0f} MiB of {physical / 2**20:.0f} MiB physical")
+    assert peak < physical // 2

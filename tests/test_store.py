@@ -1,6 +1,7 @@
 import hashlib
 import io
 import itertools
+import os
 import random
 
 import numpy as np
@@ -119,6 +120,17 @@ PINNED_SHA256 = {
 def test_table_bytes_match_pinned_sha256(k, m):
     blob = table_bytes(TableSet.build(k, m=m))
     assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256[k]
+
+
+def test_build_refuses_more_than_half_of_memory(monkeypatch):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 150}  # 600 KiB of physical memory
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    # k=6 has 2^15 entries: 256 KiB of slots one-shot, 512 KiB with records
+    assert len(TableSet.build(6).catalog) == 156
+    with pytest.raises(ValueError, match="524288 bytes"):
+        TableSet.build(6, m=2)
+    with pytest.raises(ValueError, match="16777216 bytes"):
+        TableSet.build(7)
 
 
 def test_save_load_path(tmp_path, tables3):
