@@ -434,7 +434,7 @@ def build_canonical_map_parallel(
     _check_build_k(k)
     ranges = partition_ranges(k, m)
     # 8 bytes per entry for the sifted slots, 8 more for the records of a split build
-    check_memory(8 << bit_length(k) if len(ranges) == 1 else 16 << bit_length(k),
+    check_memory((8 if len(ranges) == 1 else 16) << bit_length(k),
                  f"a k={k} table build from {len(ranges)} ranges")
     if workers > 1 and len(ranges) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
