@@ -46,7 +46,7 @@ from .core import (
     is_connected,
 )
 
-MAX_BUILD_K = 8          # b(8)=28 record bits; beyond this the table does not fit the format
+MAX_BUILD_K = 8          # 3-bit witness digits and the 14-bit id field cap builds and files at k=8
 _SCAN_CHUNK = 1 << 12    # entries compared per step of the unclaimed scan
 _RECORD_CHUNK = 1 << 16  # slots turned into records per step of the merge
 
@@ -67,6 +67,7 @@ CONNECTED_BIT = 14
 WITNESS_SHIFT = 16
 ID_MASK = (1 << CANONICAL_ID_BITS) - 1
 WITNESS_MASK = (1 << 24) - 1
+_WITNESS_SHIFTS = WITNESS_SHIFT + 3 * np.arange(MAX_BUILD_K, dtype=np.uint64)  # node u at [u]
 
 
 def pack_record(canonical_id: int, connected: bool, witness_packed: int) -> int:
@@ -114,7 +115,8 @@ class LookupTable:
 
     records is the table file's record section as it is stored.  The
     canonical_id, witness and connected properties decode one field of the
-    whole table; per-query code indexes records and decodes only what it reads.
+    whole table; read and read_batch are the record readers of every query,
+    and decode only the records they index.
     """
 
     k: int
@@ -135,9 +137,20 @@ class LookupTable:
     def connected(self) -> np.ndarray:
         return (self.records >> CONNECTED_BIT & 1).astype(bool)
 
+    def read(self, bits: int) -> tuple[int, bool, tuple[int, ...]]:
+        """One record: (canonical id, connected, images); node u is images[u] in the canonical."""
+        cid, connected, w = unpack_record(self.records.item(bits))
+        return cid, connected, tuple([w >> 3 * u & 7 for u in range(self.k)])
+
+    def read_batch(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Canonical ids (B,) and witness images (B, k), as intp, of B bit vectors."""
+        records = self.records[bits]
+        cids = (records & ID_MASK).astype(np.intp)
+        images = (records[:, None] >> _WITNESS_SHIFTS[:self.k] & 7).astype(np.intp)
+        return cids, images
+
     def witness_permutation(self, bits: int) -> Permutation:
-        w = unpack_record(self.records.item(bits))[2]
-        return Permutation(tuple(w >> 3 * u & 7 for u in range(self.k)))
+        return Permutation(self.read(bits)[2])
 
 
 @dataclass

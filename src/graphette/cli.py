@@ -13,7 +13,7 @@ import time
 from contextlib import ExitStack
 
 from . import canon, sampler, store
-from .core import Graphette, bit_length, decode, encode
+from .core import Graphette, decode, encode
 from .orbits import OrbitPartition
 
 EXIT_OK = 0
@@ -142,11 +142,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     tables = store.TableSet.load(args.table)
     k = tables.k
     if args.bits is not None:
-        if not 0 <= args.bits < (1 << bit_length(k)):
-            raise ValueError(
-                f"bits {args.bits} out of range for k={k} "
-                f"(need 0 <= bits < {1 << bit_length(k)})"
-            )
         g = Graphette(k, args.bits)
     else:
         g = _parse_edges_literal(args.edges, k)

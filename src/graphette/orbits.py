@@ -146,19 +146,19 @@ def compute_orbit_partitions(catalog: CanonicalCatalog) -> None:
 def assign_global_orbit_ids(catalog: CanonicalCatalog) -> GlobalOrbitIndex:
     """Number all orbits across the catalog consecutively.
 
-    Canonicals are processed in id order; within one canonical, orbits are
-    ordered by minimum node index.
+    Canonicals are numbered in id order, and within one canonical each orbit
+    by its label's rank among the row's distinct labels (minimum node index).
     """
     if catalog.orbit_labels is None or len(catalog.orbit_labels) != len(catalog):
         raise ValueError("catalog is missing orbit partitions; run compute_orbit_partitions")
     k = catalog.k
-    bases = np.zeros(len(catalog), dtype=np.int64)
-    node_ids = np.zeros((len(catalog), k), dtype=np.int64)
-    total = 0
-    for cid, labels in enumerate(catalog.orbit_labels):
-        distinct = sorted(set(labels))
-        rank = {label: r for r, label in enumerate(distinct)}
-        node_ids[cid] = [total + rank[label] for label in labels]
-        bases[cid] = total
-        total += len(distinct)
-    return GlobalOrbitIndex(k=k, bases=bases, total_orbits=total, node_ids=node_ids)
+    labels = np.array(catalog.orbit_labels, dtype=np.int64).reshape(len(catalog), k)
+    order = np.argsort(labels, axis=1, kind="stable")
+    ordered = np.take_along_axis(labels, order, axis=1)
+    first = np.ones(labels.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    counts = first.sum(axis=1)
+    bases = np.cumsum(counts) - counts
+    node_ids = np.empty_like(labels)
+    np.put_along_axis(node_ids, order, bases[:, None] + np.cumsum(first, axis=1) - 1, axis=1)
+    return GlobalOrbitIndex(k, bases, int(counts.sum()), node_ids)

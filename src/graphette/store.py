@@ -10,8 +10,9 @@ File layout (little-endian throughout):
 
 The record section is a LookupTable's records array byte for byte (the bit
 layout sits beside LookupTable in canon): saving writes it as held, loading
-reads it straight into a numpy array, and queries decode only the records
-they index.
+reads it straight into a numpy array.  LookupTable.read (one record) and
+LookupTable.read_batch (an index array) are the only record readers; every
+query here goes through them and decodes only the records it indexes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from os import PathLike
 from typing import BinaryIO, Union
 
@@ -29,9 +29,8 @@ import numpy as np
 # stay importable from here.
 from .canon import (
     CANONICAL_ID_BITS,
-    ID_MASK,
+    MAX_BUILD_K,
     RECORD_DTYPE,
-    WITNESS_SHIFT,
     CanonicalCatalog,
     LookupTable,
     build_canonical_map_parallel,
@@ -46,7 +45,6 @@ LAYOUT_TAG = b"lower-triangle-lsb"
 FORMAT_VERSION = 1
 HEADER_SIZE = len(MAGIC) + 1 + 1 + 4 + 4 + len(LAYOUT_TAG)  # 38 bytes
 RECORD_SIZE = RECORD_DTYPE.itemsize
-MAX_FILE_K = 8  # 3-bit node images in the witness field cap the format at k=8
 
 Destination = Union[str, PathLike, BinaryIO]
 
@@ -102,8 +100,8 @@ def _check_consistent(
     catalog: CanonicalCatalog, table: LookupTable, orbit_index: GlobalOrbitIndex
 ) -> None:
     k = catalog.k
-    if not 1 <= k <= MAX_FILE_K:
-        raise ValueError(f"file format supports k in 1..{MAX_FILE_K}, got {k}")
+    if not 1 <= k <= MAX_BUILD_K:
+        raise ValueError(f"file format supports k in 1..{MAX_BUILD_K}, got {k}")
     if table.k != k or orbit_index.k != k:
         raise ValueError(
             f"inconsistent k across inputs: catalog {k}, table {table.k}, "
@@ -183,7 +181,7 @@ def _read(fh: BinaryIO) -> tuple[CanonicalCatalog, LookupTable, GlobalOrbitIndex
         raise VersionMismatchError(
             f"format version {version} at offset {len(MAGIC)}, expected {FORMAT_VERSION}"
         )
-    if not 1 <= k <= MAX_FILE_K:
+    if not 1 <= k <= MAX_BUILD_K:
         raise HeaderFieldError(f"unsupported k={k} at offset {len(MAGIC) + 1}")
     nc, total_orbits = struct.unpack_from("<II", header, len(MAGIC) + 2)
     tag_off = len(MAGIC) + 10
@@ -258,8 +256,8 @@ class TableSet:
         """Record for g: (canonical id, witness onto the canonical, connected)."""
         if g.k != self.k:
             raise ValueError(f"graphette k={g.k} does not match table k={self.k}")
-        cid, connected, _ = unpack_record(self.table.records.item(g.bits))
-        return cid, self.table.witness_permutation(g.bits), connected
+        cid, connected, images = self.table.read(g.bits)
+        return cid, Permutation(images), connected
 
     def node_orbit(self, g: Graphette, u: int) -> int:
         """Global orbit id of node u inside graphette g, in O(1)."""
@@ -273,23 +271,17 @@ class TableSet:
         """Canonical id plus the global orbit id at every node position."""
         if not 0 <= bits < len(self.table.records):
             raise ValueError(f"bits {bits} out of range for k={self.k}")
-        cids, orbit_ids = self.identify_batch(np.array([bits]))
-        return int(cids[0]), tuple(orbit_ids[0].tolist())
-
-    @cached_property
-    def _witness_shifts(self) -> np.ndarray:
-        """(k,) shifts of the 3-bit witness fields of nodes 0..k-1 in a record."""
-        return WITNESS_SHIFT + 3 * np.arange(self.k, dtype=np.uint64)
+        cid, _, images = self.table.read(bits)
+        row = self.orbits.node_ids[cid].tolist()
+        return cid, tuple([row[pos] for pos in images])
 
     def identify_batch(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Canonical ids (B,) and global orbit ids (B, k) of B bit vectors.
 
-        Node u of a graphette sits at position (witness >> 3u) & 7 of its
+        Node u of a graphette sits at position pos = images[u] of its
         canonical, whose global orbit there is orbits.node_ids[cid, pos],
         gathered through the flat index cid * k + pos.
         """
-        records = self.table.records[bits]
-        cids = (records & ID_MASK).astype(np.intp)
-        pos = (records[:, None] >> self._witness_shifts & 7).astype(np.intp)
+        cids, pos = self.table.read_batch(bits)
         pos += cids[:, None] * self.k
         return cids, self.orbits.node_ids.reshape(-1)[pos]

@@ -1,9 +1,11 @@
 """The batched identification path against the one-sample reference chain.
 
-induced_bits (per-node binary searches) and TableSet.node_orbit (one
-record decoded per call) are the references; induced_bits_batch, TableSet.identify_batch and
-SampleAccumulator.add_batch must reproduce them exactly.  The sparse ODV pairs
-are checked against a dense ODV tallied with np.add.at.
+induced_bits (per-node binary searches) and TableSet.node_orbit (one record
+read by LookupTable.read, independent of the batch decode in
+LookupTable.read_batch) are the references; induced_bits_batch,
+TableSet.identify_batch and SampleAccumulator.add_batch must reproduce them
+exactly.  The sparse ODV pairs are checked against a dense ODV tallied with
+np.add.at.
 """
 
 import itertools
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from graphette import sampler
-from graphette.core import HostGraph, induced_bits, induced_bits_batch
+from graphette.core import HostGraph, bit_length, induced_bits, induced_bits_batch
 from graphette.sampler import (
     BATCH,
     SampleAccumulator,
@@ -70,6 +72,14 @@ def test_batch_matches_scalar_chain(tables_by_k, ring_1e6, k, host_name):
         assert g.bits == b
         assert tables.identify(g.bits) == (cid, tuple(orbits.tolist()))
         assert [tables.node_orbit(g, u) for u in range(k)] == orbits.tolist()
+
+
+def test_scalar_and_batch_readers_agree_on_every_record(tables_by_k):
+    for k in range(1, 7):
+        tables = tables_by_k[k] if k in tables_by_k else TableSet.build(k)
+        cids, orbit_ids = tables.identify_batch(np.arange(1 << bit_length(k)))
+        rows = list(zip(cids.tolist(), map(tuple, orbit_ids.tolist())))
+        assert [tables.identify(b) for b in range(len(rows))] == rows
 
 
 @pytest.mark.parametrize("k,host", [(4, "er30"), (7, "host12")])

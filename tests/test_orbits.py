@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from graphette.canon import (
@@ -294,3 +295,31 @@ def test_assign_requires_partitions():
     catalog = CanonicalCatalog(3, built.canonicals, built.connected, orbit_labels=None)
     with pytest.raises(ValueError):
         assign_global_orbit_ids(catalog)
+
+
+def reference_numbering(labels_list):
+    """Global orbit numbering one canonical at a time: rank of each label
+    among its row's sorted distinct labels, offset by the orbits before it."""
+    bases, node_ids, total = [], [], 0
+    for labels in labels_list:
+        rank = {label: r for r, label in enumerate(sorted(set(labels)))}
+        bases.append(total)
+        node_ids.append([total + rank[label] for label in labels])
+        total += len(rank)
+    return bases, node_ids, total
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_numbering_matches_loop_on_random_u8_labels(seed):
+    rng = random.Random(seed)
+    k = rng.randint(1, 8)
+    nc = rng.randint(0, 40)
+    top = rng.choice([2, 4, 256])  # few labels force repeats within a row
+    labels = [tuple(rng.randrange(top) for _ in range(k)) for _ in range(nc)]
+    catalog = CanonicalCatalog(k, np.zeros(nc, dtype=np.int64), np.zeros(nc, dtype=bool),
+                               labels)
+    index = assign_global_orbit_ids(catalog)
+    bases, node_ids, total = reference_numbering(labels)
+    assert index.bases.tolist() == bases
+    assert index.node_ids.reshape(nc, k).tolist() == node_ids
+    assert index.total_orbits == total
