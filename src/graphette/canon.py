@@ -92,15 +92,19 @@ def unpack_record(value: int) -> tuple[int, bool, int]:
 class CanonicalCatalog:
     """Ascending canonical bit vectors for one k, with per-canonical metadata.
 
-    Entry c of orbit_labels is a k-tuple giving, for each node of canonical c,
-    the minimum node index of its automorphism orbit.  Built catalogs always
-    carry it; None marks a catalog assembled without orbits.
+    Row c of orbit_labels, an (NC, k) uint8 array as the table file stores it,
+    gives each node of canonical c the minimum node index of its automorphism
+    orbit.  Built catalogs always carry it; None marks one built without orbits.
     """
 
     k: int
     canonicals: np.ndarray
     connected: np.ndarray
-    orbit_labels: list[tuple[int, ...]] | None = None
+    orbit_labels: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.orbit_labels is not None:  # label rows given in another form become that array
+            self.orbit_labels = np.asarray(self.orbit_labels, np.uint8).reshape(-1, self.k)
 
     def __len__(self) -> int:
         return len(self.canonicals)
@@ -162,7 +166,7 @@ class SiftPartition:
     relabelings).  slots[b - lo] packs, in the slot layout above, the index
     of member b's temp canonical and the lexicographic key of the least
     permutation sending b onto the global canonical: the witness the table
-    stores for b.  automorphisms holds the automorphism rows of each temp
+    stores for b.  orbit_labels (n, k) holds the label row of each temp
     canonical that is its own minimum, in temp order.
     """
 
@@ -171,7 +175,7 @@ class SiftPartition:
     hi: int
     temp_canonicals: np.ndarray
     temp_minima: np.ndarray
-    automorphisms: list[np.ndarray]
+    orbit_labels: np.ndarray
     slots: np.ndarray
 
 
@@ -297,7 +301,8 @@ def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
     canonical c.  If c differs from t, c is relabeled instead, which yields
     the same class.  Each relabeling inside [lo, hi) offers its slot the
     temp's index and the permutation's witness key, and the slot keeps the
-    least offer: the least witness onto c.
+    least offer: the least witness onto c.  When t is c, node u's orbit
+    label is u's least image under the relabelings that fix t.
     """
     _check_build_k(k)
     size = 1 << bit_length(k)
@@ -314,7 +319,7 @@ def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
     slots = np.full(span, _OPEN_SLOT, dtype=np.uint64)
     temps: list[int] = []
     minima: list[int] = []
-    auts: list[np.ndarray] = []
+    labels: list[np.ndarray] = []
 
     cursor = 0
     while True:
@@ -325,7 +330,7 @@ def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
         images = relabelings(bits)
         low = int(images.min())
         if low == bits:
-            auts.append(perms[images == low])  # every mapping fixing t, least first
+            labels.append(perms[images == low].min(axis=0))
         else:
             images = relabelings(low)
         inside = (images >= lo) & (images < hi)
@@ -340,7 +345,7 @@ def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
         hi=hi,
         temp_canonicals=np.array(temps, dtype=np.int64),
         temp_minima=np.array(minima, dtype=np.int64),
-        automorphisms=auts,
+        orbit_labels=np.array(labels, dtype=np.uint8).reshape(-1, k),
         slots=slots,
     )
 
@@ -378,8 +383,8 @@ def merge_siftings(parts: Sequence[SiftPartition]) -> tuple[CanonicalCatalog, Lo
     its own range).  Every range already holds each member's least witness
     onto its global canonical, so the merge only assembles records:
     canonical id and connected flag through the slot's temp index, witness
-    digits from its key.  Node u's orbit label is the least image of u
-    under the automorphisms.
+    digits from its key.  The parts' orbit label rows, concatenated in range
+    order, are the catalog's.
     """
     ordered = _validate_tiling(parts)
     k = ordered[0].k
@@ -388,7 +393,6 @@ def merge_siftings(parts: Sequence[SiftPartition]) -> tuple[CanonicalCatalog, Lo
     minima = np.concatenate([p.temp_minima for p in ordered])
     # ranges are ascending and temps ascend within each range
     canonicals = temps[minima == temps]
-    auts = [a for p in ordered for a in p.automorphisms]
     connected = np.array([is_connected(Graphette(k, int(c))) for c in canonicals], dtype=bool)
     temp_cid = np.searchsorted(canonicals, minima)
     temp_low = temp_cid.astype(np.uint64) | connected[temp_cid].astype(np.uint64) << CONNECTED_BIT
@@ -403,7 +407,7 @@ def merge_siftings(parts: Sequence[SiftPartition]) -> tuple[CanonicalCatalog, Lo
         _slots_to_records(k, part.slots, temp_low[base:stop], records[part.lo:part.hi])
         base = stop
 
-    labels = [tuple(a.min(axis=0).tolist()) for a in auts]
+    labels = np.concatenate([p.orbit_labels for p in ordered])
     return CanonicalCatalog(k, canonicals, connected, labels), LookupTable(k, records)
 
 

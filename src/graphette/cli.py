@@ -12,7 +12,7 @@ import sys
 import time
 from contextlib import ExitStack
 
-from . import canon, sampler, store
+from . import sampler, store
 from .core import Graphette, decode, encode
 from .orbits import OrbitPartition
 
@@ -115,25 +115,23 @@ def _cmd_build_table(args: argparse.Namespace) -> int:
 def _cmd_orbits(args: argparse.Namespace) -> int:
     if args.table is not None:
         tables = store.TableSet.load(args.table)
-        catalog = tables.catalog
     else:
-        catalog, _ = canon.build_canonical_map_sequential(args.k)
+        tables = store.TableSet.build(args.k)
+    catalog = tables.catalog
 
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
-        total = 0
         lines = []
-        for cid, labels in enumerate(catalog.orbit_labels):
+        for cid, labels in enumerate(catalog.orbit_labels.tolist()):
             g = catalog.graphette(cid)
-            part = OrbitPartition(g, labels, len(set(labels)))
-            total += part.orbit_count
+            part = OrbitPartition(g, tuple(labels), len(set(labels)))
             edges = ",".join(f"{i}-{j}" for i, j in sorted(decode(g)))
             groups = ";".join(" ".join(map(str, grp)) for grp in part.groups())
             lines.append(
                 f"{cid}\tbits={g.bits}\tedges={edges or '-'}\t"
                 f"connected={int(catalog.connected[cid])}\torbits={groups}"
             )
-        out.write(f"# k={catalog.k} canonicals={len(catalog)} orbits={total}\n")
+        out.write(f"# k={tables.k} canonicals={len(catalog)} orbits={tables.orbits.total_orbits}\n")
         out.write("\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -6,7 +6,7 @@ minimum current color until stable.  Nodes sharing a final color form one
 orbit, and the color itself is the orbit's minimum node index.
 
 Table builds read their orbit labels off the automorphisms their own sweep
-finds (canon.merge_siftings); this pipeline is the independent reference.
+finds (canon.sift_partition); this pipeline is the independent reference.
 """
 
 from __future__ import annotations
@@ -135,11 +135,11 @@ def orbit_partition(g: Graphette) -> OrbitPartition:
 def compute_orbit_partitions(catalog: CanonicalCatalog) -> None:
     """Fill catalog.orbit_labels with the orbit partition of every canonical.
 
-    The reference for the labels a build already carries.
+    The reference for the labels a build already carries, as the same array.
     """
-    labels = []
+    labels = np.empty((len(catalog), catalog.k), dtype=np.uint8)
     for cid in range(len(catalog)):
-        labels.append(orbit_partition(catalog.graphette(cid)).orbit_of)
+        labels[cid] = orbit_partition(catalog.graphette(cid)).orbit_of
     catalog.orbit_labels = labels
 
 
@@ -149,16 +149,15 @@ def assign_global_orbit_ids(catalog: CanonicalCatalog) -> GlobalOrbitIndex:
     Canonicals are numbered in id order, and within one canonical each orbit
     by its label's rank among the row's distinct labels (minimum node index).
     """
-    if catalog.orbit_labels is None or len(catalog.orbit_labels) != len(catalog):
+    labels = catalog.orbit_labels
+    if labels is None or labels.shape != (len(catalog), catalog.k):
         raise ValueError("catalog is missing orbit partitions; run compute_orbit_partitions")
-    k = catalog.k
-    labels = np.array(catalog.orbit_labels, dtype=np.int64).reshape(len(catalog), k)
     order = np.argsort(labels, axis=1, kind="stable")
     ordered = np.take_along_axis(labels, order, axis=1)
     first = np.ones(labels.shape, dtype=bool)
     first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
     counts = first.sum(axis=1)
     bases = np.cumsum(counts) - counts
-    node_ids = np.empty_like(labels)
+    node_ids = np.empty(labels.shape, dtype=np.int64)
     np.put_along_axis(node_ids, order, bases[:, None] + np.cumsum(first, axis=1) - 1, axis=1)
-    return GlobalOrbitIndex(k, bases, int(counts.sum()), node_ids)
+    return GlobalOrbitIndex(catalog.k, bases, int(counts.sum()), node_ids)

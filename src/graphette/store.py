@@ -10,9 +10,10 @@ File layout (little-endian throughout):
 
 The record section is a LookupTable's records array byte for byte (the bit
 layout sits beside LookupTable in canon): saving writes it as held, loading
-reads it straight into a numpy array.  LookupTable.read (one record) and
-LookupTable.read_batch (an index array) are the only record readers; every
-query here goes through them and decodes only the records it indexes.
+reads it straight into a numpy array, and the catalog's (NC, k) uint8
+orbit_labels are likewise its label bytes.  LookupTable.read (one record)
+and LookupTable.read_batch (an index array) are the only record readers;
+every query here goes through them and decodes only the records it indexes.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def _check_consistent(
         raise ValueError(
             f"table has {len(table)} records, expected {1 << bit_length(k)}"
         )
-    if catalog.orbit_labels is None or len(catalog.orbit_labels) != len(catalog):
+    if catalog.orbit_labels is None or catalog.orbit_labels.shape != (len(catalog), k):
         raise ValueError("catalog orbit partitions missing or incomplete")
     if len(orbit_index.bases) != len(catalog):
         raise ValueError("orbit index does not cover the catalog")
@@ -211,10 +212,8 @@ def _read(fh: BinaryIO) -> tuple[CanonicalCatalog, LookupTable, GlobalOrbitIndex
         )
 
     entries = np.frombuffer(fh.read(catalog_end - HEADER_SIZE), dtype=entry_type)
-    labels = [tuple(row) for row in entries["labels"].tolist()]
-    catalog = CanonicalCatalog(
-        k, entries["bits"].astype(np.int64), entries["connected"].astype(bool), labels
-    )
+    catalog = CanonicalCatalog(k, entries["bits"].astype(np.int64),
+                               entries["connected"].astype(bool), entries["labels"].copy())
     records = np.empty(record_count, dtype=RECORD_DTYPE)
     fh.readinto(memoryview(records).cast("B"))
     orbit_index = assign_global_orbit_ids(catalog)

@@ -248,14 +248,15 @@ def test_orbits_invariant_under_complement():
             assert orbit_partition(g).orbit_of == orbit_partition(complement(g)).orbit_of
 
 
-@pytest.mark.parametrize("k,m", [(k, 1) for k in range(1, 7)] + [(6, 7), (6, 16)])
+@pytest.mark.parametrize("k,m", [(k, 1) for k in range(1, 8)] + [(6, 7), (6, 16), (7, 9)])
 def test_builder_orbit_labels_match_orbit_partition(k, m):
     # the builder reads orbits off the sweep's automorphisms; orbit_partition
     # backtracks over the automorphism group independently
     catalog, _ = build_canonical_map_parallel(k, m)
-    assert len(catalog.orbit_labels) == len(catalog)
-    for cid, labels in enumerate(catalog.orbit_labels):
-        assert labels == orbit_partition(catalog.graphette(cid)).orbit_of
+    assert catalog.orbit_labels.shape == (len(catalog), k)
+    assert catalog.orbit_labels.dtype == np.uint8
+    for cid, labels in enumerate(catalog.orbit_labels.tolist()):
+        assert tuple(labels) == orbit_partition(catalog.graphette(cid)).orbit_of
 
 
 # --- global orbit ids --------------------------------------------------------

@@ -89,7 +89,8 @@ def test_roundtrip_k4(tables4):
     assert loaded.k == 4
     assert loaded.catalog.canonicals.tolist() == tables4.catalog.canonicals.tolist()
     assert loaded.catalog.connected.tolist() == tables4.catalog.connected.tolist()
-    assert loaded.catalog.orbit_labels == tables4.catalog.orbit_labels
+    assert loaded.catalog.orbit_labels.tolist() == tables4.catalog.orbit_labels.tolist()
+    assert loaded.catalog.orbit_labels.dtype == np.uint8
     assert np.array_equal(loaded.table.canonical_id, tables4.table.canonical_id)
     assert np.array_equal(loaded.table.witness, tables4.table.witness)
     assert np.array_equal(loaded.table.connected, tables4.table.connected)
@@ -202,6 +203,9 @@ def test_serialize_rejects_inconsistent_inputs(tables3, tables4):
     stripped = TableSet.build(3)
     stripped.catalog.orbit_labels = None
     with pytest.raises(ValueError):
+        serialize(stripped.catalog, stripped.table, tables3.orbits, io.BytesIO())
+    stripped.catalog.orbit_labels = np.zeros((len(stripped.catalog), 4), dtype=np.uint8)
+    with pytest.raises(ValueError, match="orbit partitions"):  # one label column too many
         serialize(stripped.catalog, stripped.table, tables3.orbits, io.BytesIO())
 
 
