@@ -214,15 +214,15 @@ def _read(fh: BinaryIO) -> tuple[CanonicalCatalog, LookupTable, GlobalOrbitIndex
     entries = np.frombuffer(fh.read(catalog_end - HEADER_SIZE), dtype=entry_type)
     catalog = CanonicalCatalog(k, entries["bits"].astype(np.int64),
                                entries["connected"].astype(bool), entries["labels"].copy())
-    records = np.empty(record_count, dtype=RECORD_DTYPE)
-    fh.readinto(memoryview(records).cast("B"))
-    orbit_index = assign_global_orbit_ids(catalog)
+    orbit_index = assign_global_orbit_ids(catalog)  # a bad numbering fails before the big read
     if orbit_index.total_orbits != total_orbits or not np.array_equal(
         orbit_index.bases, entries["base"]
     ):
         raise HeaderFieldError(
             "orbit numbering in file disagrees with its own orbit partitions"
         )
+    records = np.empty(record_count, dtype=RECORD_DTYPE)
+    fh.readinto(memoryview(records).cast("B"))
     return catalog, LookupTable(k, records), orbit_index
 
 

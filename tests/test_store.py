@@ -173,6 +173,13 @@ def test_bad_k_field(tables3):
         deserialize(io.BytesIO(bytes(blob)))
 
 
+def test_orbit_total_disagrees_with_labels(tables3):
+    blob = bytearray(table_bytes(tables3))
+    blob[16] += 1  # low byte of the header's orbit total
+    with pytest.raises(HeaderFieldError, match="orbit numbering"):
+        deserialize(io.BytesIO(bytes(blob)))
+
+
 def test_truncated_record_section_names_expected_records(tables3):
     blob = table_bytes(tables3)
     with pytest.raises(TruncatedFileError, match="8 records"):
