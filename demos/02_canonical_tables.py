@@ -16,7 +16,7 @@ print(f"total automorphism orbits: {tables.orbits.total_orbits}\n")
 
 for cid in range(len(catalog)):
     g = catalog.graphette(cid)
-    members = int((tables.table.canonical_id == cid).sum())
+    members = sum(tables.table.read(b)[0] == cid for b in range(len(tables.table)))
     print(f"  canonical {cid:2d}: bits={g.bits:2d} edges={sorted(decode(g))!s:42} "
           f"connected={bool(catalog.connected[cid])!s:5}  class size={members}")
 

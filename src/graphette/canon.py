@@ -117,10 +117,9 @@ class CanonicalCatalog:
 class LookupTable:
     """Dense map from every k-node bit vector to its packed record.
 
-    records is the table file's record section as it is stored.  The
-    canonical_id, witness and connected properties decode one field of the
-    whole table; read and read_batch are the record readers of every query,
-    and decode only the records they index.
+    records is the table file's record section as it is stored.  read (one
+    record, in Python ints) and read_batch (an index array) are its only
+    readers, and decode only the records they index.
     """
 
     k: int
@@ -129,20 +128,10 @@ class LookupTable:
     def __len__(self) -> int:
         return len(self.records)
 
-    @property
-    def canonical_id(self) -> np.ndarray:
-        return (self.records & ID_MASK).astype(np.int32)
-
-    @property
-    def witness(self) -> np.ndarray:
-        return (self.records >> WITNESS_SHIFT & WITNESS_MASK).astype(np.uint32)
-
-    @property
-    def connected(self) -> np.ndarray:
-        return (self.records >> CONNECTED_BIT & 1).astype(bool)
-
     def read(self, bits: int) -> tuple[int, bool, tuple[int, ...]]:
         """One record: (canonical id, connected, images); node u is images[u] in the canonical."""
+        if not 0 <= bits < len(self.records):
+            raise ValueError(f"bits {bits} out of range for k={self.k}")
         cid, connected, w = unpack_record(self.records.item(bits))
         return cid, connected, tuple([w >> 3 * u & 7 for u in range(self.k)])
 
@@ -152,9 +141,6 @@ class LookupTable:
         cids = (records & ID_MASK).astype(np.intp)
         images = (records[:, None] >> _WITNESS_SHIFTS[:self.k] & 7).astype(np.intp)
         return cids, images
-
-    def witness_permutation(self, bits: int) -> Permutation:
-        return Permutation(self.read(bits)[2])
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon import CanonicalCatalog, _iter_isomorphisms
-from .core import Graphette, Permutation, apply_permutation, bit_length, complement
+from .core import Graphette, Permutation, bit_length, complement
 
 MAX_AUTOMORPHISM_K = 10  # brute-force enumeration stays practical up to here
 

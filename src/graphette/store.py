@@ -11,9 +11,11 @@ File layout (little-endian throughout):
 The record section is a LookupTable's records array byte for byte (the bit
 layout sits beside LookupTable in canon): saving writes it as held, loading
 reads it straight into a numpy array, and the catalog's (NC, k) uint8
-orbit_labels are likewise its label bytes.  LookupTable.read (one record)
-and LookupTable.read_batch (an index array) are the only record readers;
-every query here goes through them and decodes only the records it indexes.
+orbit_labels are likewise its label bytes.  LookupTable.read (one record,
+which also rejects a bit vector outside the table) and LookupTable.read_batch
+(an index array) are its only readers; every query here goes through them
+and decodes only the records it indexes.  Loading refuses, like building, a
+record section larger than half of physical memory.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .canon import (
     pack_record,
     unpack_record,
 )
-from .core import Graphette, Permutation, bit_length
+from .core import Graphette, Permutation, bit_length, check_memory
 from .orbits import GlobalOrbitIndex, assign_global_orbit_ids
 
 MAGIC = b"GRAPHETTE1"
@@ -221,6 +223,7 @@ def _read(fh: BinaryIO) -> tuple[CanonicalCatalog, LookupTable, GlobalOrbitIndex
         raise HeaderFieldError(
             "orbit numbering in file disagrees with its own orbit partitions"
         )
+    check_memory(record_count * RECORD_SIZE, f"a k={k} table load")
     records = np.empty(record_count, dtype=RECORD_DTYPE)
     fh.readinto(memoryview(records).cast("B"))
     return catalog, LookupTable(k, records), orbit_index
@@ -268,8 +271,6 @@ class TableSet:
 
     def identify(self, bits: int) -> tuple[int, tuple[int, ...]]:
         """Canonical id plus the global orbit id at every node position."""
-        if not 0 <= bits < len(self.table.records):
-            raise ValueError(f"bits {bits} out of range for k={self.k}")
         cid, _, images = self.table.read(bits)
         row = self.orbits.node_ids[cid].tolist()
         return cid, tuple([row[pos] for pos in images])

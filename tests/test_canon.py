@@ -112,7 +112,7 @@ def test_catalog_matches_bruteforce_oracle(k):
     expected = sorted({oracle_canonical_bits(k, b) for b in range(1 << bit_length(k))})
     assert catalog.canonicals.tolist() == expected
     for bits in range(1 << bit_length(k)):
-        cid = int(table.canonical_id[bits])
+        cid = int(table.read(bits)[0])
         assert int(catalog.canonicals[cid]) == oracle_canonical_bits(k, bits)
 
 
@@ -129,17 +129,17 @@ def test_canonical_idempotence_and_identity_witness():
         catalog, table = build_canonical_map_sequential(k)
         for cid in range(len(catalog)):
             bits = int(catalog.canonicals[cid])
-            assert int(table.canonical_id[bits]) == cid
-            assert table.witness_permutation(bits).mapping == tuple(range(k))
+            assert int(table.read(bits)[0]) == cid
+            assert Permutation(table.read(bits)[2]).mapping == tuple(range(k))
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_witness_validity_exhaustive(k):
     catalog, table = build_canonical_map_sequential(k)
     for bits in range(1 << bit_length(k)):
-        w = table.witness_permutation(bits)
+        w = Permutation(table.read(bits)[2])
         out = apply_permutation(Graphette(k, bits), w)
-        assert out.bits == int(catalog.canonicals[table.canonical_id[bits]])
+        assert out.bits == int(catalog.canonicals[table.read(bits)[0]])
 
 
 def test_witness_validity_sampled_k6():
@@ -147,22 +147,22 @@ def test_witness_validity_sampled_k6():
     rng = random.Random(43)
     for _ in range(2000):
         bits = rng.randrange(1 << bit_length(6))
-        w = table.witness_permutation(bits)
+        w = Permutation(table.read(bits)[2])
         out = apply_permutation(Graphette(6, bits), w)
-        assert out.bits == int(catalog.canonicals[table.canonical_id[bits]])
+        assert out.bits == int(catalog.canonicals[table.read(bits)[0]])
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_minimality(k):
     catalog, table = build_canonical_map_sequential(k)
     for bits in range(1 << bit_length(k)):
-        assert int(catalog.canonicals[table.canonical_id[bits]]) <= bits
+        assert int(catalog.canonicals[table.read(bits)[0]]) <= bits
 
 
 def test_connected_flags_match_canonical():
     catalog, table = build_canonical_map_sequential(4)
     for bits in range(1 << bit_length(4)):
-        assert bool(table.connected[bits]) == bool(catalog.connected[table.canonical_id[bits]])
+        assert bool(table.read(bits)[1]) == bool(catalog.connected[table.read(bits)[0]])
 
 
 def test_lookup_invariant_under_permutation():
@@ -172,25 +172,25 @@ def test_lookup_invariant_under_permutation():
         for bits in range(1 << bit_length(k)):
             for order in itertools.permutations(range(k)):
                 image = apply_permutation(Graphette(k, bits), Permutation(order))
-                assert table.canonical_id[image.bits] == table.canonical_id[bits]
+                assert table.read(image.bits)[0] == table.read(bits)[0]
     _, table5 = build_canonical_map_sequential(5)
     for _ in range(2000):
         bits = rng.randrange(1 << 10)
         image = apply_permutation(Graphette(5, bits), random_permutation(rng, 5))
-        assert table5.canonical_id[image.bits] == table5.canonical_id[bits]
+        assert table5.read(image.bits)[0] == table5.read(bits)[0]
 
 
 def test_lookup_invariance_spot_checks_k7():
     catalog, table = build_canonical_map_sequential(7)
     assert len(catalog) == 1044
-    canonical_id = table.canonical_id
+    canonical_id = table.read_batch(np.arange(len(table)))[0]
     rng = random.Random(73)
     for _ in range(2000):
         bits = rng.randrange(1 << bit_length(7))
         p = random_permutation(rng, 7)
         image = apply_permutation(Graphette(7, bits), p)
         assert canonical_id[image.bits] == canonical_id[bits]
-        w = table.witness_permutation(bits)
+        w = Permutation(table.read(bits)[2])
         out = apply_permutation(Graphette(7, bits), w)
         assert out.bits == int(catalog.canonicals[canonical_id[bits]])
 
@@ -251,9 +251,7 @@ def test_merge_single_partition_equals_sequential():
     cat_s, tab_s = build_canonical_map_sequential(4)
     cat_m, tab_m = merge_siftings([sift_partition(4, 0, 64)])
     assert cat_m.canonicals.tolist() == cat_s.canonicals.tolist()
-    assert np.array_equal(tab_m.canonical_id, tab_s.canonical_id)
-    assert np.array_equal(tab_m.witness, tab_s.witness)
-    assert np.array_equal(tab_m.connected, tab_s.connected)
+    assert np.array_equal(tab_m.records, tab_s.records)
 
 
 @pytest.mark.parametrize("m", [2, 4, 16])
@@ -263,18 +261,16 @@ def test_merge_matches_sequential_k5(m):
     cat_m, tab_m = merge_siftings(parts)
     assert cat_m.canonicals.tolist() == cat_s.canonicals.tolist()
     assert cat_m.connected.tolist() == cat_s.connected.tolist()
-    assert np.array_equal(tab_m.canonical_id, tab_s.canonical_id)
-    assert np.array_equal(tab_m.witness, tab_s.witness)
-    assert np.array_equal(tab_m.connected, tab_s.connected)
+    assert np.array_equal(tab_m.records, tab_s.records)
 
 
 def test_merge_witnesses_verify():
     parts = [sift_partition(4, lo, hi) for lo, hi in partition_ranges(4, 8)]
     catalog, table = merge_siftings(parts)
     for bits in range(64):
-        w = table.witness_permutation(bits)
+        w = Permutation(table.read(bits)[2])
         out = apply_permutation(Graphette(4, bits), w)
-        assert out.bits == int(catalog.canonicals[table.canonical_id[bits]])
+        assert out.bits == int(catalog.canonicals[table.read(bits)[0]])
 
 
 def test_merge_rejects_non_tiling():
@@ -295,8 +291,7 @@ def test_parallel_k4_m8_workers():
     catalog, table = build_canonical_map_parallel(4, 8, workers=4)
     assert len(catalog) == 11
     ref_cat, ref_tab = build_canonical_map_sequential(4)
-    assert np.array_equal(table.canonical_id, ref_tab.canonical_id)
-    assert np.array_equal(table.witness, ref_tab.witness)
+    assert np.array_equal(table.records, ref_tab.records)
 
 
 def test_parallel_k6_m16():

@@ -72,6 +72,15 @@ def test_build_table_refuses_more_than_half_of_memory(tmp_path, capsys, monkeypa
 # --- query -------------------------------------------------------------------
 
 
+def test_query_refuses_a_table_larger_than_half_of_memory(tmp_path, capsys, monkeypatch):
+    table = tmp_path / "k6.table"
+    assert main(["build-table", "-k", "6", "-o", str(table)]) == EXIT_OK
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}  # 400 KiB of physical memory
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert main(["query", "--table", str(table), "--bits", "7"]) == EXIT_FORMAT
+    assert "262144 bytes" in capsys.readouterr().err
+
+
 def test_query_triangle(k3_table, capsys):
     assert main(["query", "--table", str(k3_table), "--bits", "7"]) == EXIT_OK
     out = capsys.readouterr().out.strip()

@@ -1,12 +1,14 @@
 """The complete k=8 table, the paper's headline row (2^28 records).
 
-Opt-in, because one build takes about half a minute and 2 GiB of memory:
+Opt-in, because one build takes about half a minute and 2 GiB of memory, and
+loading it back from a file another 2 GiB:
 
     GRAPHETTE_K8=1 PYTHONPATH=src python -m pytest -q -s tests/test_k8.py
 """
 
 import hashlib
 import itertools
+import math
 import os
 import random
 import resource
@@ -16,8 +18,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from graphette.core import Graphette, apply_permutation, bit_length, decode
+from graphette.core import Graphette, HostGraph, apply_permutation, bit_length, decode
 from graphette.orbits import orbit_partition
+from graphette.sampler import exhaustive_enumerate, sample_distribution
 from graphette.store import TableSet
 
 pytestmark = pytest.mark.skipif(
@@ -102,3 +105,30 @@ def test_k8_peak_rss_under_half_of_memory(k8):
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     print(f"\nk=8 peak RSS {peak / 2**20:.0f} MiB of {physical / 2**20:.0f} MiB physical")
     assert peak < physical // 2
+
+
+# last in the file: holding the built and the loaded table at once exceeds the peak bound above
+def test_k8_load_and_identify_through_the_file(k8, tmp_path):
+    tables, _ = k8
+    path = tmp_path / "k8.table"
+    tables.save(path)
+    start = time.perf_counter()
+    loaded = TableSet.load(path)
+    load_s = time.perf_counter() - start
+    sink = HashSink()
+    loaded.save(sink)
+    assert sink.digest.hexdigest() == K8_SHA256
+
+    rng = random.Random(12)
+    host = HostGraph(12, [e for e in itertools.combinations(range(12), 2) if rng.random() < 0.5])
+    exact = exhaustive_enumerate(host, loaded)
+    counts = exact.graphette_counts
+    assert counts.sum() == math.comb(12, 8)
+    # every host edge lies in C(10, 6) of the 8-subsets
+    edges = np.array([Graphette(K, int(c)).edge_count for c in loaded.catalog.canonicals])
+    assert int(counts @ edges) == host.edge_count * math.comb(10, 6)
+    sampled = sample_distribution(host, loaded, 2000, seed=8)
+    assert counts[np.flatnonzero(sampled.graphette_counts)].all()
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    print(f"\nk=8 load {load_s:.1f} s, peak RSS {peak / 2**20:.0f} MiB with the built table alive")

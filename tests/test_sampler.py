@@ -136,7 +136,7 @@ def test_single_accumulation_on_k5(tables3):
     host = complete_host(5)
     acc = SampleAccumulator.empty(tables3, host.n)
     accumulate(acc, host, [0, 2, 4], tables3)
-    triangle_cid = int(tables3.table.canonical_id[7])
+    triangle_cid = int(tables3.table.read(7)[0])
     assert acc.n_samples == 1
     assert acc.graphette_counts[triangle_cid] == 1
     assert acc.graphette_counts.sum() == 1
@@ -166,7 +166,7 @@ def test_accumulate_path_positions_in_4cycle(tables3):
     host = HostGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     acc = SampleAccumulator.empty(tables3, host.n)
     accumulate(acc, host, [0, 1, 2], tables3)
-    path_cid = int(tables3.table.canonical_id[3])
+    path_cid = int(tables3.table.read(3)[0])
     assert acc.graphette_counts[path_cid] == 1
     # canonical bits=3 has edges {1,0},{2,0}: node 0 is the path center
     center = 3  # global id: base of path canonical + rank of label 0
@@ -190,14 +190,14 @@ def test_accumulate_rejects_wrong_size(tables3):
 def test_enumerate_k3_host(tables3):
     acc = exhaustive_enumerate(complete_host(3), tables3)
     assert acc.n_samples == 1
-    assert acc.graphette_counts[int(tables3.table.canonical_id[7])] == 1
+    assert acc.graphette_counts[int(tables3.table.read(7)[0])] == 1
 
 
 def test_enumerate_path_host_odv(tables3):
     host = load_graph(io.StringIO("a b\nb c\n"))
     acc = exhaustive_enumerate(host, tables3)
     assert acc.n_samples == 1
-    path_cid = int(tables3.table.canonical_id[3])
+    path_cid = int(tables3.table.read(3)[0])
     assert acc.graphette_counts[path_cid] == 1
     center, ends = 3, 4
     assert acc.odv[1, center] == 1  # b
@@ -208,8 +208,8 @@ def test_enumerate_4cycle(tables3):
     host = HostGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     acc = exhaustive_enumerate(host, tables3)
     assert acc.n_samples == 4
-    path_cid = int(tables3.table.canonical_id[3])
-    triangle_cid = int(tables3.table.canonical_id[7])
+    path_cid = int(tables3.table.read(3)[0])
+    triangle_cid = int(tables3.table.read(7)[0])
     assert acc.graphette_counts[path_cid] == 4
     assert acc.graphette_counts[triangle_cid] == 0
 
@@ -418,7 +418,7 @@ def test_edge_expansion_at_k1_and_k2():
     tables2 = TableSet.build(2)
     acc = sample_distribution(host, tables2, 500, strategy=SamplingStrategy.EDGE_EXPANSION,
                               seed=24)
-    assert acc.graphette_counts[int(tables2.table.canonical_id[1])] == 500
+    assert acc.graphette_counts[int(tables2.table.read(1)[0])] == 500
 
 
 def test_expansion_restarts_when_the_component_runs_out():

@@ -91,9 +91,7 @@ def test_roundtrip_k4(tables4):
     assert loaded.catalog.connected.tolist() == tables4.catalog.connected.tolist()
     assert loaded.catalog.orbit_labels.tolist() == tables4.catalog.orbit_labels.tolist()
     assert loaded.catalog.orbit_labels.dtype == np.uint8
-    assert np.array_equal(loaded.table.canonical_id, tables4.table.canonical_id)
-    assert np.array_equal(loaded.table.witness, tables4.table.witness)
-    assert np.array_equal(loaded.table.connected, tables4.table.connected)
+    assert np.array_equal(loaded.table.records, tables4.table.records)
     assert loaded.orbits.total_orbits == tables4.orbits.total_orbits
     # byte-identical re-serialization
     assert table_bytes(loaded) == blob
@@ -132,6 +130,16 @@ def test_build_refuses_more_than_half_of_memory(monkeypatch):
         TableSet.build(6, m=2)
     with pytest.raises(ValueError, match="16777216 bytes"):
         TableSet.build(7)
+
+
+def test_load_refuses_more_than_half_of_memory(tmp_path, monkeypatch):
+    path = tmp_path / "k6.table"
+    TableSet.build(6).save(path)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}  # 400 KiB of physical memory
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    # k=6 has 2^15 records of 8 bytes
+    with pytest.raises(ValueError, match="262144 bytes"):
+        TableSet.load(path)
 
 
 def test_save_load_path(tmp_path, tables3):
@@ -317,3 +325,9 @@ def test_identify_matches_node_orbit(tables4):
 def test_identify_rejects_bits_out_of_range(tables3, bits):
     with pytest.raises(ValueError, match="out of range"):
         tables3.identify(bits)
+
+
+@pytest.mark.parametrize("bits", [-1, 1 << bit_length(3)])
+def test_read_rejects_bits_out_of_range(tables3, bits):
+    with pytest.raises(ValueError, match="out of range"):
+        tables3.table.read(bits)
