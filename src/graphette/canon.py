@@ -38,6 +38,7 @@ import numpy as np
 from .core import (
     Graphette,
     Permutation,
+    _bit_layout,
     adjacency_masks,
     bit_length,
     check_memory,
@@ -235,19 +236,20 @@ def _perm_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Keys order mappings with node 0's image most significant (base 8 digits,
     valid for k <= 8), so the minimum key is the lexicographically least
-    mapping, and the first of several rows is the least of them.  Row
-    p(i, j) of the edge table holds 1 << p(perm[i], perm[j]) for every perm.
+    mapping, and the first of several rows is the least of them.  Row p of
+    the edge table holds 1 << edge_bit(perm[i], perm[j]) for every perm,
+    where (i, j) is bit p's edge; it is read from a (k, k) table of bit
+    weights built from core's layout, so no bit position is computed here.
     """
     perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
-    perms = perms.reshape(-1, k)
     inverse = np.empty_like(perms)
     inverse[np.arange(len(perms))[:, None], perms] = np.arange(k, dtype=np.int64)
-    edge_images = np.empty((bit_length(k), len(perms)), dtype=np.int64)
-    for i in range(1, k):
-        for j in range(i):
-            hi = np.maximum(perms[:, i], perms[:, j])
-            lo = np.minimum(perms[:, i], perms[:, j])
-            edge_images[i * (i - 1) // 2 + j] = np.int64(1) << (hi * (hi - 1) // 2 + lo)
+    hi, lo, weights = _bit_layout(k)
+    weight_at = np.zeros((k, k), dtype=np.int64)
+    weight_at[hi, lo] = weight_at[lo, hi] = weights
+    # row by row: (b(k), k!) index temporaries left the k=7 heap 1.6 MiB larger
+    rows = [weight_at[perms[:, i], perms[:, j]] for i, j in zip(hi, lo)]
+    edge_images = np.array(rows, dtype=np.int64).reshape(len(hi), len(perms))
     return perms, (inverse @ _lex_weights(k)).astype(np.uint32), edge_images
 
 

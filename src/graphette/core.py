@@ -4,7 +4,8 @@ A graphette is a small undirected simple graph on k labeled nodes, stored as
 the lower triangle of its adjacency matrix packed into an integer: edge
 {i, j} with i > j occupies bit position p(i, j) = i*(i-1)/2 + j, with
 position 0 the least significant bit.  The layout is normative; table files
-written by this package depend on it.
+written by this package depend on it.  `edge_bit` is the layout and
+`edge_pairs` its inverse; nothing else computes a bit position.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ def edge_bit(i: int, j: int) -> int:
     if i < j:
         i, j = j, i
     return i * (i - 1) // 2 + j
+
+
+@lru_cache(maxsize=None)
+def edge_pairs(k: int) -> tuple[tuple[int, int], ...]:
+    """Entry p is the edge (i, j), i > j, at bit p of a k-node graphette."""
+    pairs = ((i, j) for i in range(k) for j in range(i))
+    return tuple(sorted(pairs, key=lambda e: edge_bit(*e)))
 
 
 @dataclass(frozen=True)
@@ -119,14 +127,8 @@ def encode(k: int, edges: Iterable[tuple[int, int]]) -> Graphette:
 
 def decode(g: Graphette) -> set[tuple[int, int]]:
     """Edge set of g as (i, j) pairs with i > j; exact inverse of encode."""
-    edges = set()
     bits = g.bits
-    for i in range(1, g.k):
-        row = bits >> (i * (i - 1) // 2)
-        for j in range(i):
-            if row >> j & 1:
-                edges.add((i, j))
-    return edges
+    return {e for p, e in enumerate(edge_pairs(g.k)) if bits >> p & 1}
 
 
 def apply_permutation(g: Graphette, perm: Permutation) -> Graphette:
@@ -134,16 +136,7 @@ def apply_permutation(g: Graphette, perm: Permutation) -> Graphette:
     if perm.k != g.k:
         raise ValueError(f"size mismatch: graphette k={g.k}, permutation k={perm.k}")
     m = perm.mapping
-    out = 0
-    bits = g.bits
-    for i in range(1, g.k):
-        row = bits >> (i * (i - 1) // 2)
-        if not row & ((1 << i) - 1):
-            continue
-        for j in range(i):
-            if row >> j & 1:
-                out |= 1 << edge_bit(m[i], m[j])
-    return Graphette(g.k, out)
+    return Graphette(g.k, sum(1 << edge_bit(m[i], m[j]) for i, j in decode(g)))
 
 
 def degree_sequence(g: Graphette) -> list[int]:
@@ -154,13 +147,9 @@ def degree_sequence(g: Graphette) -> list[int]:
 def degrees(g: Graphette) -> list[int]:
     """Per-node degrees of g, indexed by node."""
     deg = [0] * g.k
-    bits = g.bits
-    for i in range(1, g.k):
-        row = bits >> (i * (i - 1) // 2)
-        for j in range(i):
-            if row >> j & 1:
-                deg[i] += 1
-                deg[j] += 1
+    for i, j in decode(g):
+        deg[i] += 1
+        deg[j] += 1
     return deg
 
 
@@ -229,16 +218,16 @@ class HostGraph:
             self.names = list(names)
         else:
             self.names = [str(i) for i in range(n)]
-        # Edge keys u*n + v (u < v), deduplicated after a sort: numpy 2.4's
-        # hash-based np.unique is ~60x slower than the sort on 1e6 keys.  The
-        # trailing n*n exceeds every key and keeps searchsorted in bounds.
-        keys = np.sort(arr.min(axis=1) * n + arr.max(axis=1))
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        self._edge_keys = np.append(keys, n * n)
-        # Both orientations' keys, sorted: row u is the run [u*n, (u+1)*n).
-        both = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
-        self._indptr = np.searchsorted(both, np.arange(n + 1, dtype=np.int64) * n)
-        self._indices = both % n
+        # Both orientations' keys u*n + v, deduplicated after one sort (numpy
+        # 2.4's hash-based np.unique is ~60x slower), are the adjacency slots:
+        # row u is the run [u*n, (u+1)*n).  Those with u < v are the edge keys,
+        # and the trailing n*n exceeds every key to keep searchsorted in bounds.
+        u, v = arr.T
+        slots = np.sort(np.concatenate([u * n + v, v * n + u]))
+        slots = slots[np.diff(slots, prepend=-1) != 0]
+        rows, self._indices = np.divmod(slots, n)
+        self._indptr = np.searchsorted(slots, np.arange(n + 1, dtype=np.int64) * n)
+        self._edge_keys = np.append(slots[rows < self._indices], n * n)
 
     @property
     def edge_count(self) -> int:
@@ -307,21 +296,18 @@ def induced_bits(graph: HostGraph, nodes: Sequence[int]) -> Graphette:
     induced_bits_batch.
     """
     check_nodes(graph, nodes)
-    k = len(nodes)
     bits = 0
-    for i in range(1, k):
-        base = i * (i - 1) // 2
-        for j in range(i):
-            if graph.has_edge(nodes[i], nodes[j]):
-                bits |= 1 << (base + j)
-    return Graphette(k, bits)
+    for p, (i, j) in enumerate(edge_pairs(len(nodes))):
+        if graph.has_edge(nodes[i], nodes[j]):
+            bits |= 1 << p
+    return Graphette(len(nodes), bits)
 
 
 @lru_cache(maxsize=None)
 def _bit_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, j, weight) of every lower-triangle bit of a k-node graphette, in
     bit order: bit p tests edge {i[p], j[p]} and is worth weight[p] = 2^p."""
-    hi, lo = np.tril_indices(k, -1)  # row-major: bit order
+    hi, lo = np.array(edge_pairs(k), dtype=np.int64).reshape(-1, 2).T.copy()
     weights = np.int64(1) << np.arange(len(hi), dtype=np.int64)
     for a in (hi, lo, weights):  # shared by every call: keep them read-only
         a.flags.writeable = False

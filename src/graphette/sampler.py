@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import io
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, islice
@@ -76,15 +77,12 @@ def load_graph(source: Union[str, PathLike, IO[str]]) -> HostGraph:
     first-appearance order; '#'-prefixed lines are comments; duplicate edges
     collapse; self-loops are rejected with their line number.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
+    if not hasattr(source, "read"):
         with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-
+            return load_graph(fh)
     labels: dict[str, int] = {}
-    ends: list[int] = []  # interned endpoints, two per edge
-    for lineno, raw in enumerate(lines, start=1):
+    ends = array("q")  # interned endpoints, two per edge
+    for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -102,7 +100,7 @@ def load_graph(source: Union[str, PathLike, IO[str]]) -> HostGraph:
     if not labels:
         raise GraphFormatError(None, "empty graph: no edges found")
     # labels are assigned in insertion order, so the keys are the names
-    return HostGraph(len(labels), np.array(ends, dtype=np.int64), names=list(labels))
+    return HostGraph(len(labels), np.frombuffer(ends, dtype=np.int64), names=list(labels))
 
 
 def _uniform_batch(rng: np.random.Generator, n: int, k: int, size: int) -> np.ndarray:

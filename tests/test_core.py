@@ -14,7 +14,10 @@ from graphette.core import (
     complement,
     decode,
     degree_sequence,
+    MAX_K,
+    _bit_layout,
     edge_bit,
+    edge_pairs,
     encode,
     induced_bits,
     is_connected,
@@ -69,6 +72,16 @@ def test_bit_layout_is_normative():
     assert edge_bit(2, 1) == 2
     assert edge_bit(0, 2) == 1  # order-insensitive
     assert edge_bit(5, 3) == 13
+
+
+@pytest.mark.parametrize("k", range(1, MAX_K + 1))
+def test_edge_pairs_invert_edge_bit(k):
+    pairs = edge_pairs(k)
+    assert len(pairs) == bit_length(k)
+    for i, j in itertools.permutations(range(k), 2):
+        assert pairs[edge_bit(i, j)] == (max(i, j), min(i, j))
+    hi, lo, _ = _bit_layout(k)
+    assert list(zip(hi.tolist(), lo.tolist())) == list(pairs)
 
 
 def test_graphette_validation():
@@ -290,3 +303,54 @@ def test_induced_bits_matches_direct_encode():
             },
         )
         assert induced_bits(g, nodes) == expected
+
+
+def host_edge_set(pairs):
+    return {(u, v) for u, v in pairs} | {(v, u) for u, v in pairs}
+
+
+def assert_has_edges_matches(g, edges, a, b):
+    expected = np.vectorize(lambda u, v: (int(u), int(v)) in edges)(a, b)
+    got = g.has_edges(a, b)
+    assert got.shape == expected.shape and got.dtype == bool
+    assert np.array_equal(got, expected)
+
+
+def test_has_edges_every_pair_next_to_the_sentinel():
+    # the last edge key, (n-2, n-1), is the one just below the n*n sentinel
+    n = 9
+    pairs = [(0, 1), (2, 5), (3, 8), (1, 7), (0, 8), (7, 8)]
+    g = HostGraph(n, pairs)
+    a, b = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    assert_has_edges_matches(g, host_edge_set(pairs), a, b)
+    assert not g.has_edges(np.arange(n), np.arange(n)).any()
+
+
+def test_has_edges_on_an_edgeless_host():
+    g = HostGraph(6, [])
+    a, b = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
+    assert not g.has_edges(a, b).any()
+
+
+def test_has_edges_broadcasts_one_column_against_a_selection():
+    rng = np.random.default_rng(3)
+    pairs = list(nx.gnp_random_graph(40, 0.2, seed=4).edges())
+    g = HostGraph(40, pairs)
+    for j in (1, 2, 4):
+        v = rng.integers(40, size=(50, 1))
+        sel = rng.integers(40, size=(50, j))
+        assert_has_edges_matches(g, host_edge_set(pairs), v, sel)
+
+
+def test_has_edges_on_a_random_large_host():
+    rng = np.random.default_rng(5)
+    n = 5000
+    arr = rng.integers(n, size=(20_000, 2))
+    arr = arr[arr[:, 0] != arr[:, 1]]
+    g = HostGraph(n, arr)
+    edges = host_edge_set(arr.tolist())
+    a, b = rng.integers(n, size=(2, 100_000))
+    expected = np.array([(u, v) in edges for u, v in zip(a.tolist(), b.tolist())])
+    assert np.array_equal(g.has_edges(a, b), expected)
+    assert g.has_edges(arr[:, 0], arr[:, 1]).all()
+    assert g.has_edges(arr[:, 1], arr[:, 0]).all()

@@ -71,6 +71,20 @@ def test_load_from_file(tmp_path):
     assert load_graph(path).n == 3
 
 
+def test_load_crlf_lines_as_lf_lines(tmp_path):
+    text = "# hub\na b\n\nb c\nc a\n"
+    lf = load_graph(io.StringIO(text))
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    for source in (path, io.StringIO(text.replace("\n", "\r\n"))):
+        g = load_graph(source)
+        assert g.names == lf.names
+        assert np.array_equal(g.edge_array, lf.edge_array)
+    path.write_bytes(b"a b\r\n\r\nc\r\n")
+    with pytest.raises(GraphFormatError, match="line 3"):
+        load_graph(path)
+
+
 # --- draw_sample -------------------------------------------------------------
 
 
