@@ -20,15 +20,17 @@ relabeled instead, so every range stores each member's least witness onto
 the global canonical and the merge only assembles records.  The relabelings
 that fix a canonical are its automorphisms; node orbits are read off them.
 
-A range holds one uint64 slot per bit vector, which the merge turns into that
-vector's record in place, so a one-shot build holds 8 bytes per entry (2 GiB
-at k=8) and a partitioned one 16.
+A build holds one uint64 slot per bit vector in one array: each range sifts
+into its slice of it, and the merge turns every slot into that vector's
+record in place.  So every build holds 8 bytes per entry (2 GiB at k=8),
+one-shot or partitioned, plus, when a pool sifts the ranges, the ranges its
+workers hold.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -153,8 +155,9 @@ class SiftPartition:
     relabelings).  slots[b - lo] packs, in the slot layout above, the index
     of member b's temp canonical and the lexicographic key of the least
     permutation sending b onto the global canonical: the witness the table
-    stores for b.  orbit_labels (n, k) holds the label row of each temp
-    canonical that is its own minimum, in temp order.
+    stores for b.  slots is the range's own array, or its slice of the one
+    array a build sifts every range into.  orbit_labels (n, k) holds the
+    label row of each temp canonical that is its own minimum, in temp order.
     """
 
     k: int
@@ -279,7 +282,7 @@ def _check_build_k(k: int) -> None:
 # the sweep
 
 
-def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
+def sift_partition(k: int, lo: int, hi: int, slots: np.ndarray | None = None) -> SiftPartition:
     """Classify one contiguous range of bit vectors in isolation.
 
     The range is scanned in ascending order.  Each time the scan reaches a
@@ -291,11 +294,21 @@ def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
     temp's index and the permutation's witness key, and the slot keeps the
     least offer: the least witness onto c.  When t is c, node u's orbit
     label is u's least image under the relabelings that fix t.
+
+    slots, when given, is the (hi - lo)-entry uint64 array to sift into;
+    otherwise the range gets an array of its own.
     """
     _check_build_k(k)
     size = 1 << bit_length(k)
     if not (0 <= lo < hi <= size):
         raise ValueError(f"empty or out-of-range partition [{lo}, {hi}) for k={k}")
+    span = hi - lo
+    if slots is None:
+        slots = np.empty(span, dtype=np.uint64)
+    elif slots.shape != (span,) or slots.dtype != np.uint64:
+        raise ValueError(f"range [{lo}, {hi}) needs {span} uint64 slots, "
+                         f"got {slots.shape} {slots.dtype}")
+    slots.fill(_OPEN_SLOT)
     perms, inv_keys, edge_images = _perm_tables(k)
     edge_bits = np.arange(bit_length(k))
 
@@ -303,8 +316,6 @@ def sift_partition(k: int, lo: int, hi: int) -> SiftPartition:
         return np.bitwise_or.reduce(edge_images[bits >> edge_bits & 1 == 1], axis=0)
 
     key_hi = inv_keys.astype(np.uint64) << np.uint64(SLOT_KEY_SHIFT)
-    span = hi - lo
-    slots = np.full(span, _OPEN_SLOT, dtype=np.uint64)
     temps: list[int] = []
     minima: list[int] = []
     labels: list[np.ndarray] = []
@@ -361,21 +372,28 @@ def _validate_tiling(parts: Sequence[SiftPartition]) -> list[SiftPartition]:
     return ordered
 
 
-def merge_siftings(parts: Sequence[SiftPartition]) -> tuple[CanonicalCatalog, LookupTable]:
+def merge_siftings(
+    parts: Sequence[SiftPartition], slots: np.ndarray | None = None
+) -> tuple[CanonicalCatalog, LookupTable]:
     """Fuse per-range siftings into the global catalog and lookup table.
 
-    The merge takes ownership of the parts: a single range's slots become
-    the table's records in place, and the slots of several ranges are turned
-    into records in one new array.  The canonicals are the temp canonicals
-    that are their own minimum (the class's lowest member always survives
-    its own range).  Every range already holds each member's least witness
-    onto its global canonical, so the merge only assembles records:
+    slots is the one array of 2^b(k) entries that the parts were sifted
+    into, part p's slots being slots[p.lo:p.hi]; the merge takes it over and
+    turns it into the table's records in place.  Without it, the parts'
+    own slot arrays are joined into one first.  The canonicals are the temp
+    canonicals that are their own minimum (the class's lowest member always
+    survives its own range).  Every range already holds each member's least
+    witness onto its global canonical, so the merge only assembles records:
     canonical id and connected flag through the slot's temp index, witness
     digits from its key.  The parts' orbit label rows, concatenated in range
     order, are the catalog's.
     """
     ordered = _validate_tiling(parts)
     k = ordered[0].k
+    if slots is None:
+        slots = np.concatenate([p.slots for p in ordered])
+    elif slots.shape != (1 << bit_length(k),):
+        raise ValueError(f"k={k} slots need {1 << bit_length(k)} entries, got {slots.shape}")
 
     temps = np.concatenate([p.temp_canonicals for p in ordered])
     minima = np.concatenate([p.temp_minima for p in ordered])
@@ -385,22 +403,18 @@ def merge_siftings(parts: Sequence[SiftPartition]) -> tuple[CanonicalCatalog, Lo
     temp_cid = np.searchsorted(canonicals, minima)
     temp_low = temp_cid.astype(np.uint64) | connected[temp_cid].astype(np.uint64) << CONNECTED_BIT
 
-    if len(ordered) == 1:
-        records = ordered[0].slots
-    else:
-        records = np.empty(1 << bit_length(k), dtype=RECORD_DTYPE)
     base = 0
     for part in ordered:
         stop = base + len(part.temp_canonicals)
-        _slots_to_records(k, part.slots, temp_low[base:stop], records[part.lo:part.hi])
+        _slots_to_records(k, slots[part.lo:part.hi], temp_low[base:stop])
         base = stop
 
     labels = np.concatenate([p.orbit_labels for p in ordered])
-    return CanonicalCatalog(k, canonicals, connected, labels), LookupTable(k, records)
+    return CanonicalCatalog(k, canonicals, connected, labels), LookupTable(k, slots)
 
 
-def _slots_to_records(k: int, slots: np.ndarray, temp_low: np.ndarray, out: np.ndarray) -> None:
-    """Write the record of each sifted slot into out, which may be slots itself.
+def _slots_to_records(k: int, slots: np.ndarray, temp_low: np.ndarray) -> None:
+    """Turn each sifted slot of one range into its record, in place.
 
     temp_low holds the id and connected bits of each temp canonical of the
     range.  The key's base-8 digits, node 0's most significant, are moved to
@@ -415,7 +429,7 @@ def _slots_to_records(k: int, slots: np.ndarray, temp_low: np.ndarray, out: np.n
         rec = temp_low[chunk & np.uint64(SLOT_TEMP_MASK)]
         for key_shift, field_shift in digit_shifts:
             rec |= (keys >> key_shift & np.uint64(7)) << field_shift
-        out[start:start + _RECORD_CHUNK] = rec
+        chunk[:] = rec
 
 
 def partition_ranges(k: int, m: int) -> list[tuple[int, int]]:
@@ -433,21 +447,32 @@ def build_canonical_map_parallel(
 ) -> tuple[CanonicalCatalog, LookupTable]:
     """Sift m bit-vector ranges (concurrently when workers > 1) and merge.
 
-    Output is identical for every m, worker count and completion order;
-    m=1 is the one-shot build.
+    Every range sifts into its slice of one slot array, which the merge
+    turns into the record array.  Output is identical for every m, worker
+    count and completion order; m=1 is the one-shot build.
     """
     _check_build_k(k)
     ranges = partition_ranges(k, m)
-    # 8 bytes per entry for the sifted slots, 8 more for the records of a split build
-    check_memory((8 if len(ranges) == 1 else 16) << bit_length(k),
-                 f"a k={k} table build from {len(ranges)} ranges")
-    if workers > 1 and len(ranges) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            los, his = zip(*ranges)
-            parts = list(pool.map(sift_partition, itertools.repeat(k), los, his))
+    size = 1 << bit_length(k)
+    pooled = workers > 1 and len(ranges) > 1
+    in_flight = min(workers, len(ranges)) if pooled else 0
+    # 8 bytes per entry for the slot array, and as much for each range a worker holds
+    check_memory(8 * (size + in_flight * max(hi - lo for lo, hi in ranges)),
+                 f"a k={k} table build from {len(ranges)} ranges"
+                 + (f" on {workers} workers" if pooled else ""))
+    slots = np.empty(size, dtype=np.uint64)
+    if not pooled:
+        parts = [sift_partition(k, lo, hi, slots[lo:hi]) for lo, hi in ranges]
     else:
-        parts = [sift_partition(k, lo, hi) for lo, hi in ranges]
-    return merge_siftings(parts)
+        parts = []
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(sift_partition, k, lo, hi) for lo, hi in ranges]
+            for future in as_completed(futures):
+                part = future.result()  # into its slice as it arrives; its own array is dropped
+                slots[part.lo:part.hi] = part.slots
+                part.slots = slots[part.lo:part.hi]
+                parts.append(part)
+    return merge_siftings(parts, slots)
 
 
 def build_canonical_map_sequential(k: int) -> tuple[CanonicalCatalog, LookupTable]:

@@ -144,7 +144,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         g = _parse_edges_literal(args.edges, k)
     cid, witness, connected = tables.query(g)
-    _, orbit_ids = tables.identify(g.bits)
+    orbit_ids = tables.orbits.node_ids[cid, list(witness.mapping)].tolist()
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
         out.write(

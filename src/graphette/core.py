@@ -17,7 +17,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-MAX_K = 12  # b(12) = 66 bits still fits a Python int with room to spare
+# Graphette and the scalar functions hold bits in Python ints, so they take
+# k <= 12 (b = 66 bits).  induced_bits_batch packs int64 and stops at k=11
+# (b = 55), automorphism enumeration at k=10 (orbits.MAX_AUTOMORPHISM_K) and
+# tables at k=8 (canon.MAX_BUILD_K).
+MAX_K = 12
 
 
 def check_memory(nbytes: int, what: str) -> None:
@@ -319,8 +323,12 @@ def induced_bits_batch(graph: HostGraph, nodes: np.ndarray) -> np.ndarray:
 
     Row r gives the same bits as induced_bits(graph, nodes[r]).  All
     B*k(k-1)/2 edge tests are one HostGraph.has_edges call.  Rows must
-    already hold distinct in-range labels; nothing is checked.
+    already hold distinct in-range labels; nothing is checked.  Raises
+    ValueError when b(k) > 63, which int64 bit vectors cannot hold.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    hi, lo, weights = _bit_layout(nodes.shape[1])
+    k = nodes.shape[1]
+    if bit_length(k) > 63:
+        raise ValueError(f"batched bit vectors are int64: k={k} needs {bit_length(k)} bits")
+    hi, lo, weights = _bit_layout(k)
     return graph.has_edges(nodes[:, hi], nodes[:, lo]) @ weights

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,35 @@ def test_parallel_k4_m8_workers():
 def test_parallel_k6_m16():
     catalog, _ = build_canonical_map_parallel(6, 16)
     assert len(catalog) == 156
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_partitioning_gives_the_one_shot_records(workers):
+    ref_cat, ref_tab = build_canonical_map_sequential(6)
+    for m in (2, 4, 16, 64):
+        catalog, table = build_canonical_map_parallel(6, m, workers)
+        assert np.array_equal(table.records, ref_tab.records)
+        assert np.array_equal(catalog.orbit_labels, ref_cat.orbit_labels)
+
+
+def test_partitioned_build_holds_one_slot_array():
+    # 8 bytes per entry for the slot array that becomes the records; a
+    # build that also holds the ranges' own slot arrays needs 16
+    k, entries = 7, 1 << bit_length(7)
+    tracemalloc.start()
+    try:
+        build_canonical_map_parallel(k, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * entries
+
+
+def test_merge_refuses_a_slot_array_of_the_wrong_size():
+    with pytest.raises(ValueError, match="64 entries"):
+        merge_siftings([sift_partition(4, 0, 64)], np.zeros(32, dtype=np.uint64))
+    with pytest.raises(ValueError, match="4 uint64 slots"):
+        sift_partition(3, 4, 8, np.zeros(8, dtype=np.uint64))
 
 
 def test_parallel_m_larger_than_space():

@@ -62,11 +62,14 @@ def test_build_table_rejects_k9(tmp_path, capsys):
 def test_build_table_refuses_more_than_half_of_memory(tmp_path, capsys, monkeypatch):
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 150}  # 600 KiB of physical memory
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    out = tmp_path / "k6.table"
-    assert main(["build-table", "-k", "6", "-m", "2", "-o", str(out)]) == EXIT_FORMAT
-    assert "524288 bytes" in capsys.readouterr().err
+    one_shot, split = tmp_path / "k6.table", tmp_path / "k6-split.table"
+    assert main(["build-table", "-k", "6", "-o", str(one_shot)]) == EXIT_OK
+    assert main(["build-table", "-k", "6", "-m", "2", "-o", str(split)]) == EXIT_OK
+    assert split.read_bytes() == one_shot.read_bytes()
+    out = tmp_path / "k7.table"
+    assert main(["build-table", "-k", "7", "-m", "2", "-o", str(out)]) == EXIT_FORMAT
+    assert "16777216 bytes" in capsys.readouterr().err
     assert not out.exists()
-    assert main(["build-table", "-k", "6", "-o", str(out)]) == EXIT_OK
 
 
 # --- query -------------------------------------------------------------------

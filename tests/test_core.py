@@ -20,6 +20,7 @@ from graphette.core import (
     edge_pairs,
     encode,
     induced_bits,
+    induced_bits_batch,
     is_connected,
 )
 
@@ -303,6 +304,14 @@ def test_induced_bits_matches_direct_encode():
             },
         )
         assert induced_bits(g, nodes) == expected
+
+
+def test_induced_bits_batch_refuses_more_than_63_bits():
+    complete = HostGraph(12, list(itertools.combinations(range(12), 2)))
+    assert induced_bits(complete, range(12)).bits == (1 << 66) - 1
+    assert induced_bits_batch(complete, np.arange(11)[None]).tolist() == [(1 << 55) - 1]
+    with pytest.raises(ValueError, match="66 bits"):
+        induced_bits_batch(complete, np.arange(12)[None])
 
 
 def host_edge_set(pairs):

@@ -1,7 +1,8 @@
 """The complete k=8 table, the paper's headline row (2^28 records).
 
 Opt-in, because one build takes about half a minute and 2 GiB of memory, and
-loading it back from a file another 2 GiB:
+loading it back from a file another 2 GiB.  The table is built both ways:
+partitioned (m=2) in a child process, and one-shot in this one.
 
     GRAPHETTE_K8=1 PYTHONPATH=src python -m pytest -q -s tests/test_k8.py
 """
@@ -12,7 +13,10 @@ import math
 import os
 import random
 import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -40,6 +44,26 @@ class HashSink:
 
     def write(self, data) -> None:
         self.digest.update(data)
+
+
+# first in the file: the child's 2 GiB must not stack on the module's built table
+def test_k8_partitioned_build_writes_the_same_file(tmp_path):
+    path = tmp_path / "k8-split.table"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "graphette", "build-table", "-k", "8", "-m", "2",
+                    "-o", str(path)], env=env, check=True)
+    wall = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024  # KiB on Linux
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 24), b""):
+            digest.update(block)
+    path.unlink()
+    print(f"\nk=8 partitioned (m=2) build {wall:.1f} s, child peak RSS {peak / 2**20:.0f} MiB")
+    assert digest.hexdigest() == K8_SHA256
 
 
 @pytest.fixture(scope="module")

@@ -124,12 +124,15 @@ def test_table_bytes_match_pinned_sha256(k, m):
 def test_build_refuses_more_than_half_of_memory(monkeypatch):
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 150}  # 600 KiB of physical memory
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    # k=6 has 2^15 entries: 256 KiB of slots one-shot, 512 KiB with records
-    assert len(TableSet.build(6).catalog) == 156
+    # k=6 has 2^15 entries: 256 KiB of slots for every m
+    one_shot = table_bytes(TableSet.build(6))
+    assert table_bytes(TableSet.build(6, m=2)) == one_shot
+    for m in (1, 8):
+        with pytest.raises(ValueError, match="16777216 bytes"):
+            TableSet.build(7, m=m)
+    # a pool adds the range each worker holds: 2 x 128 KiB on top of the array
     with pytest.raises(ValueError, match="524288 bytes"):
-        TableSet.build(6, m=2)
-    with pytest.raises(ValueError, match="16777216 bytes"):
-        TableSet.build(7)
+        TableSet.build(6, m=2, workers=2)
 
 
 def test_load_refuses_more_than_half_of_memory(tmp_path, monkeypatch):
