@@ -14,17 +14,20 @@ identity is lexicographically least inside any permutation group.
 Every build is one sweep: contiguous ranges of bit vectors are sifted
 (``sift_partition``) and the ranges merged (``merge_siftings``); the one-shot
 build is the single range [0, 2^b(k)).  The sweep relabels each class's
-lowest in-range member by all k! permutations, which yields the class's
-global canonical; when that member is not the canonical, the canonical is
-relabeled instead, so every range stores each member's least witness onto
-the global canonical and the merge only assembles records.  The relabelings
+lowest in-range member by the inverses of the k! permutations, listed in
+lexicographic order, which yields the class's global canonical; when that
+member is not the canonical, the canonical is relabeled instead.  The r-th
+permutation undoes the r-th relabeling, so r keys its witness and the least
+r is the least witness: every range stores each member's least witness onto
+the global canonical, and the merge only assembles records.  The relabelings
 that fix a canonical are its automorphisms; node orbits are read off them.
 
 A build holds one uint64 slot per bit vector in one array: each range sifts
 into its slice of it, and the merge turns every slot into that vector's
-record in place.  So every build holds 8 bytes per entry (2 GiB at k=8),
-one-shot or partitioned, plus, when a pool sifts the ranges, the ranges its
-workers hold.
+record in place, packing the witness through a table of k! entries.  So
+every build holds 8 bytes per entry (2 GiB at k=8), one-shot or
+partitioned, plus, when a pool sifts the ranges, the ranges its workers
+hold.
 """
 
 from __future__ import annotations
@@ -54,11 +57,12 @@ _SCAN_CHUNK = 1 << 12    # entries compared per step of the unclaimed scan
 _RECORD_CHUNK = 1 << 16  # slots turned into records per step of the merge
 
 # Slot layout while a range is sifted, one u64 per bit vector: bits 0-15 the
-# index of its temporary canonical in the range, bits 40-63 the key of its
-# least witness; all ones until a class claims the vector.  The key is the
-# high field, so the least slot a claim offers an entry holds its least key.
+# index of its temporary canonical in the range, bits 16-31 the key of its
+# least witness, the witness's column in _perm_tables; all ones until a class
+# claims the vector.  The key is the high field, so the least slot a claim
+# offers an entry holds its least key.
 SLOT_TEMP_MASK = (1 << 16) - 1  # < 12,346 temporary canonicals per range even at k=8
-SLOT_KEY_SHIFT = 40             # witness keys are < 8^8 = 2^24
+SLOT_KEY_SHIFT = 16             # columns are < 8! = 40,320 < 2^16
 _OPEN_SLOT = np.uint64(2**64 - 1)
 
 # Record layout, one little-endian u64 per bit vector: bits 0-13 canonical id,
@@ -97,17 +101,16 @@ class CanonicalCatalog:
 
     Row c of orbit_labels, an (NC, k) uint8 array as the table file stores it,
     gives each node of canonical c the minimum node index of its automorphism
-    orbit.  Built catalogs always carry it; None marks one built without orbits.
+    orbit.
     """
 
     k: int
     canonicals: np.ndarray
     connected: np.ndarray
-    orbit_labels: np.ndarray | None = None
+    orbit_labels: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.orbit_labels is not None:  # label rows given in another form become that array
-            self.orbit_labels = np.asarray(self.orbit_labels, np.uint8).reshape(-1, self.k)
+    def __post_init__(self) -> None:  # label rows given in another form become that array
+        self.orbit_labels = np.asarray(self.orbit_labels, np.uint8).reshape(-1, self.k)
 
     def __len__(self) -> int:
         return len(self.canonicals)
@@ -153,11 +156,11 @@ class SiftPartition:
     temp_canonicals holds the lowest member of each class local to the range
     and temp_minima the class's global canonical (the least of its k!
     relabelings).  slots[b - lo] packs, in the slot layout above, the index
-    of member b's temp canonical and the lexicographic key of the least
-    permutation sending b onto the global canonical: the witness the table
-    stores for b.  slots is the range's own array, or its slice of the one
-    array a build sifts every range into.  orbit_labels (n, k) holds the
-    label row of each temp canonical that is its own minimum, in temp order.
+    of member b's temp canonical and the least r such that _perm_tables'
+    perms[r] sends b onto the global canonical: the witness the table stores
+    for b.  slots is the range's own array, or its slice of the one array a
+    build sifts every range into.  orbit_labels (n, k) holds the label row
+    of each temp canonical that is its own minimum, in temp order.
     """
 
     k: int
@@ -234,30 +237,28 @@ def are_isomorphic(g: Graphette, h: Graphette) -> Permutation | None:
 
 @lru_cache(maxsize=None)
 def _perm_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All k! permutations in lexicographic order, the key of each one's
-    inverse, and each edge's image bit under each permutation.
+    """All k! permutations in lexicographic order, each one's record witness
+    field, and each edge's image bit under each one's inverse.
 
-    Keys order mappings with node 0's image most significant (base 8 digits,
-    valid for k <= 8), so the minimum key is the lexicographically least
-    mapping, and the first of several rows is the least of them.  Row p of
-    the edge table holds 1 << edge_bit(perm[i], perm[j]) for every perm,
-    where (i, j) is bit p's edge; it is read from a (k, k) table of bit
-    weights built from core's layout, so no bit position is computed here.
+    Column r of the edge table relabels by perms[r]'s inverse, so perms[r]
+    takes every image in column r back: r is the witness's key, and since
+    itertools.permutations lists rows in lexicographic order, the least
+    column is the lexicographically least witness.  Row p holds
+    1 << edge_bit(inv[i], inv[j]) for every inverse inv, where (i, j) is bit
+    p's edge; it is read from a (k, k) table of bit weights built from
+    core's layout, so no bit position is computed here.  witness_field[r] is
+    perms[r] packed as a record's witness bits.
     """
     perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
-    inverse = np.empty_like(perms)
-    inverse[np.arange(len(perms))[:, None], perms] = np.arange(k, dtype=np.int64)
+    inverse = np.argsort(perms, axis=1)
     hi, lo, weights = _bit_layout(k)
     weight_at = np.zeros((k, k), dtype=np.int64)
     weight_at[hi, lo] = weight_at[lo, hi] = weights
     # row by row: (b(k), k!) index temporaries left the k=7 heap 1.6 MiB larger
-    rows = [weight_at[perms[:, i], perms[:, j]] for i, j in zip(hi, lo)]
+    rows = [weight_at[inverse[:, i], inverse[:, j]] for i, j in zip(hi, lo)]
     edge_images = np.array(rows, dtype=np.int64).reshape(len(hi), len(perms))
-    return perms, (inverse @ _lex_weights(k)).astype(np.uint32), edge_images
-
-
-def _lex_weights(k: int) -> np.ndarray:
-    return np.array([8 ** (k - 1 - u) for u in range(k)], dtype=np.int64)
+    witness_field = (perms.astype(np.uint64) << _WITNESS_SHIFTS[:k]).sum(axis=1, dtype=np.uint64)
+    return perms, witness_field, edge_images
 
 
 def _next_open(slots: np.ndarray, start: int) -> int:
@@ -291,8 +292,8 @@ def sift_partition(k: int, lo: int, hi: int, slots: np.ndarray | None = None) ->
     computed in one vectorized pass; their least is the class's global
     canonical c.  If c differs from t, c is relabeled instead, which yields
     the same class.  Each relabeling inside [lo, hi) offers its slot the
-    temp's index and the permutation's witness key, and the slot keeps the
-    least offer: the least witness onto c.  When t is c, node u's orbit
+    temp's index and its column, the key of its witness, and the slot keeps
+    the least offer: the least witness onto c.  When t is c, node u's orbit
     label is u's least image under the relabelings that fix t.
 
     slots, when given, is the (hi - lo)-entry uint64 array to sift into;
@@ -309,13 +310,13 @@ def sift_partition(k: int, lo: int, hi: int, slots: np.ndarray | None = None) ->
         raise ValueError(f"range [{lo}, {hi}) needs {span} uint64 slots, "
                          f"got {slots.shape} {slots.dtype}")
     slots.fill(_OPEN_SLOT)
-    perms, inv_keys, edge_images = _perm_tables(k)
+    perms, _, edge_images = _perm_tables(k)
     edge_bits = np.arange(bit_length(k))
 
     def relabelings(bits: int) -> np.ndarray:
         return np.bitwise_or.reduce(edge_images[bits >> edge_bits & 1 == 1], axis=0)
 
-    key_hi = inv_keys.astype(np.uint64) << np.uint64(SLOT_KEY_SHIFT)
+    key_hi = np.arange(len(perms), dtype=np.uint64) << np.uint64(SLOT_KEY_SHIFT)
     temps: list[int] = []
     minima: list[int] = []
     labels: list[np.ndarray] = []
@@ -385,7 +386,7 @@ def merge_siftings(
     survives its own range).  Every range already holds each member's least
     witness onto its global canonical, so the merge only assembles records:
     canonical id and connected flag through the slot's temp index, witness
-    digits from its key.  The parts' orbit label rows, concatenated in range
+    field through its key.  The parts' orbit label rows, concatenated in range
     order, are the catalog's.
     """
     ordered = _validate_tiling(parts)
@@ -403,11 +404,9 @@ def merge_siftings(
     temp_cid = np.searchsorted(canonicals, minima)
     temp_low = temp_cid.astype(np.uint64) | connected[temp_cid].astype(np.uint64) << CONNECTED_BIT
 
-    base = 0
-    for part in ordered:
-        stop = base + len(part.temp_canonicals)
-        _slots_to_records(k, slots[part.lo:part.hi], temp_low[base:stop])
-        base = stop
+    ends = np.cumsum([len(p.temp_canonicals) for p in ordered])
+    for part, part_low in zip(ordered, np.split(temp_low, ends[:-1])):
+        _slots_to_records(k, slots[part.lo:part.hi], part_low)
 
     labels = np.concatenate([p.orbit_labels for p in ordered])
     return CanonicalCatalog(k, canonicals, connected, labels), LookupTable(k, slots)
@@ -417,19 +416,14 @@ def _slots_to_records(k: int, slots: np.ndarray, temp_low: np.ndarray) -> None:
     """Turn each sifted slot of one range into its record, in place.
 
     temp_low holds the id and connected bits of each temp canonical of the
-    range.  The key's base-8 digits, node 0's most significant, are moved to
-    the witness field, node 0's least significant.  Chunks bound the
+    range, and _perm_tables the witness field of each key.  Chunks bound the
     temporaries.
     """
-    digit_shifts = [(np.uint64(3 * (k - 1 - u)), np.uint64(WITNESS_SHIFT + 3 * u))
-                    for u in range(k)]
+    witness_field = _perm_tables(k)[1]
     for start in range(0, len(slots), _RECORD_CHUNK):
         chunk = slots[start:start + _RECORD_CHUNK]
-        keys = chunk >> np.uint64(SLOT_KEY_SHIFT)
-        rec = temp_low[chunk & np.uint64(SLOT_TEMP_MASK)]
-        for key_shift, field_shift in digit_shifts:
-            rec |= (keys >> key_shift & np.uint64(7)) << field_shift
-        chunk[:] = rec
+        claimed = chunk.view(np.int64)  # sifted slots are < 2^32; signed indexes gather faster
+        chunk[:] = temp_low[claimed & SLOT_TEMP_MASK] | witness_field[claimed >> SLOT_KEY_SHIFT]
 
 
 def partition_ranges(k: int, m: int) -> list[tuple[int, int]]:

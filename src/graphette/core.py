@@ -270,9 +270,10 @@ class HostGraph:
         """Elementwise edge tests between broadcastable label arrays.
 
         Labels must be in range; nothing is checked.  A pair of equal labels
-        tests False, as the host has no self-loops.  All tests are one searchsorted over the sorted edge keys, searched in
-        sorted order so that successive searches stay in the same part of the
-        table, several times faster on large hosts.
+        tests False, as the host has no self-loops.  All tests are one
+        searchsorted over the sorted edge keys, searched in sorted order so
+        that successive searches stay in the same part of the table, several
+        times faster on large hosts.
         """
         keys = np.minimum(a, b) * self.n + np.maximum(a, b)
         flat = keys.reshape(-1)

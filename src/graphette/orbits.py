@@ -150,8 +150,8 @@ def assign_global_orbit_ids(catalog: CanonicalCatalog) -> GlobalOrbitIndex:
     by its label's rank among the row's distinct labels (minimum node index).
     """
     labels = catalog.orbit_labels
-    if labels is None or labels.shape != (len(catalog), catalog.k):
-        raise ValueError("catalog is missing orbit partitions; run compute_orbit_partitions")
+    if labels.shape != (len(catalog), catalog.k):
+        raise ValueError(f"orbit labels {labels.shape} do not fit {len(catalog)} canonicals")
     order = np.argsort(labels, axis=1, kind="stable")
     ordered = np.take_along_axis(labels, order, axis=1)
     first = np.ones(labels.shape, dtype=bool)

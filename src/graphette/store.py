@@ -114,8 +114,8 @@ def _check_consistent(
         raise ValueError(
             f"table has {len(table)} records, expected {1 << bit_length(k)}"
         )
-    if catalog.orbit_labels is None or catalog.orbit_labels.shape != (len(catalog), k):
-        raise ValueError("catalog orbit partitions missing or incomplete")
+    if catalog.orbit_labels.shape != (len(catalog), k):
+        raise ValueError("catalog orbit partitions do not cover its canonicals")
     if len(orbit_index.bases) != len(catalog):
         raise ValueError("orbit index does not cover the catalog")
     if len(catalog) > (1 << CANONICAL_ID_BITS):
@@ -213,7 +213,7 @@ def _read(fh: BinaryIO) -> tuple[CanonicalCatalog, LookupTable, GlobalOrbitIndex
             f"{size - expected} trailing bytes after offset {expected}"
         )
 
-    entries = np.frombuffer(fh.read(catalog_end - HEADER_SIZE), dtype=entry_type)
+    entries = _read_section(fh, entry_type, nc, HEADER_SIZE)
     catalog = CanonicalCatalog(k, entries["bits"].astype(np.int64),
                                entries["connected"].astype(bool), entries["labels"].copy())
     orbit_index = assign_global_orbit_ids(catalog)  # a bad numbering fails before the big read
@@ -224,9 +224,24 @@ def _read(fh: BinaryIO) -> tuple[CanonicalCatalog, LookupTable, GlobalOrbitIndex
             "orbit numbering in file disagrees with its own orbit partitions"
         )
     check_memory(record_count * RECORD_SIZE, f"a k={k} table load")
-    records = np.empty(record_count, dtype=RECORD_DTYPE)
-    fh.readinto(memoryview(records).cast("B"))
+    records = _read_section(fh, RECORD_DTYPE, record_count, catalog_end)
     return catalog, LookupTable(k, records), orbit_index
+
+
+def _read_section(fh: BinaryIO, dtype: np.dtype, count: int, offset: int) -> np.ndarray:
+    """The next count items of dtype, which start at offset in the file.
+
+    readinto may return fewer bytes than asked, so it is called until the
+    section is full; a stream that ends first is truncated.
+    """
+    section = np.empty(count, dtype=dtype)
+    view = memoryview(section).cast("B")
+    while view:
+        n = fh.readinto(view)
+        if not n:
+            raise TruncatedFileError(f"stream ends at offset {offset}, before {offset + len(view)}")
+        view, offset = view[n:], offset + n
+    return section
 
 
 @dataclass(frozen=True)

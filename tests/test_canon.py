@@ -8,10 +8,12 @@ import pytest
 from graphette.canon import (
     SLOT_KEY_SHIFT,
     SLOT_TEMP_MASK,
+    _perm_tables,
     are_isomorphic,
     build_canonical_map_parallel,
     build_canonical_map_sequential,
     merge_siftings,
+    pack_record,
     partition_ranges,
     sift_partition,
 )
@@ -230,15 +232,39 @@ def test_sift_witnesses_point_at_global_canonicals(k, lo, hi):
     assert (part.temp_minima != part.temp_canonicals).any()
     tc_index = part.slots & SLOT_TEMP_MASK
     witness_key = part.slots >> SLOT_KEY_SHIFT
+    perms = _perm_tables(k)[0]
     for b in range(lo, hi):
-        key = int(witness_key[b - lo])
-        witness = Permutation(tuple(key >> 3 * (k - 1 - u) & 7 for u in range(k)))
+        witness = Permutation(tuple(perms[witness_key[b - lo]].tolist()))
         canonical = int(part.temp_minima[tc_index[b - lo]])
         assert apply_permutation(Graphette(k, b), witness).bits == canonical
-    identity_key = sum(u * 8 ** (k - 1 - u) for u in range(k))
     for temp, low in zip(part.temp_canonicals.tolist(), part.temp_minima.tolist()):
         if temp == low:
-            assert witness_key[temp - lo] == identity_key
+            assert witness_key[temp - lo] == 0  # the identity, perms[0]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_perm_table_column_r_is_undone_by_perms_r(k):
+    perms, _, edge_images = _perm_tables(k)
+    assert perms[0].tolist() == list(range(k))
+    rng = random.Random(k)
+    columns = sorted({0, len(perms) - 1, *rng.sample(range(len(perms)), min(len(perms), 64))})
+    for _ in range(8):
+        bits = rng.getrandbits(bit_length(k))
+        present = [(bits >> p & 1) == 1 for p in range(bit_length(k))]
+        images = np.bitwise_or.reduce(edge_images[present], axis=0)
+        assert images[0] == bits
+        for r in columns:
+            witness = Permutation(tuple(perms[r].tolist()))
+            assert apply_permutation(Graphette(k, int(images[r])), witness).bits == bits
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_witness_field_is_the_packed_record_witness(k):
+    perms, witness_field, _ = _perm_tables(k)
+    assert len(witness_field) == len(perms)
+    for r, images in enumerate(perms.tolist()):
+        packed = sum(v << 3 * u for u, v in enumerate(images))
+        assert int(witness_field[r]) == pack_record(0, False, packed)
 
 
 def test_sift_rejects_empty_range():

@@ -293,8 +293,8 @@ def test_global_ids_consecutive():
 
 def test_assign_requires_partitions():
     built, _ = build_canonical_map_sequential(3)
-    catalog = CanonicalCatalog(3, built.canonicals, built.connected, orbit_labels=None)
-    with pytest.raises(ValueError):
+    catalog = CanonicalCatalog(3, built.canonicals, built.connected, built.orbit_labels[:-1])
+    with pytest.raises(ValueError, match="orbit labels"):  # one label row too few
         assign_global_orbit_ids(catalog)
 
 
