@@ -21,6 +21,10 @@ permutation undoes the r-th relabeling, so r keys its witness and the least
 r is the least witness: every range stores each member's least witness onto
 the global canonical, and the merge only assembles records.  The relabelings
 that fix a canonical are its automorphisms; node orbits are read off them.
+One relabeling by all k! permutations is a few table reads: the bit vector
+is cut into 4-bit chunks, and for each chunk and each of its 16 values a
+precomputed uint32 row holds the OR of the images of its set bits under
+every permutation, so the k! images are the OR of one row per chunk.
 
 A build holds one uint64 slot per bit vector in one array: each range sifts
 into its slice of it, and the merge turns every slot into that vector's
@@ -55,6 +59,8 @@ from .core import (
 MAX_BUILD_K = 8          # 3-bit witness digits and the 14-bit id field cap builds and files at k=8
 _SCAN_CHUNK = 1 << 12    # entries compared per step of the unclaimed scan
 _RECORD_CHUNK = 1 << 16  # slots turned into records per step of the merge
+_CHUNK_BITS = 4          # bit-vector bits per nibble-table row group of _perm_tables
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 
 # Slot layout while a range is sifted, one u64 per bit vector: bits 0-15 the
 # index of its temporary canonical in the range, bits 16-31 the key of its
@@ -238,27 +244,48 @@ def are_isomorphic(g: Graphette, h: Graphette) -> Permutation | None:
 @lru_cache(maxsize=None)
 def _perm_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All k! permutations in lexicographic order, each one's record witness
-    field, and each edge's image bit under each one's inverse.
+    field, and the nibble table that relabels a bit vector by each one's
+    inverse.
 
-    Column r of the edge table relabels by perms[r]'s inverse, so perms[r]
-    takes every image in column r back: r is the witness's key, and since
+    Column r relabels by perms[r]'s inverse, so perms[r] takes every image
+    in column r back: r is the witness's key, and since
     itertools.permutations lists rows in lexicographic order, the least
-    column is the lexicographically least witness.  Row p holds
-    1 << edge_bit(inv[i], inv[j]) for every inverse inv, where (i, j) is bit
-    p's edge; it is read from a (k, k) table of bit weights built from
-    core's layout, so no bit position is computed here.  witness_field[r] is
-    perms[r] packed as a record's witness bits.
+    column is the lexicographically least witness.  Bit p's edge (i, j)
+    goes to 1 << edge_bit(inv[i], inv[j]) under every inverse inv; that
+    edge-image row is read from a (k, k) table of bit weights built from
+    core's layout, so no bit position is computed here.  The bit vector is
+    cut into chunks of _CHUNK_BITS bits, and nibbles[c, v], a (k!,) uint32
+    row (b(8) = 28 bits fit), is the OR of the edge-image rows of the set
+    bits of value v in chunk c; _relabelings ORs one such row per chunk.
+    witness_field[r] is perms[r] packed as a record's witness bits.
     """
     perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
     inverse = np.argsort(perms, axis=1)
     hi, lo, weights = _bit_layout(k)
     weight_at = np.zeros((k, k), dtype=np.int64)
     weight_at[hi, lo] = weight_at[lo, hi] = weights
-    # row by row: (b(k), k!) index temporaries left the k=7 heap 1.6 MiB larger
+    # the whole (b(k), k!) int64 edge-image array first, then folded: folding
+    # bit by bit into the nibble table left the k=7 heap of a session that
+    # builds and loads tables in turn one 16 MiB block larger (124 vs 108 MiB)
     rows = [weight_at[inverse[:, i], inverse[:, j]] for i, j in zip(hi, lo)]
-    edge_images = np.array(rows, dtype=np.int64).reshape(len(hi), len(perms))
+    edge_images = np.array(rows, dtype=np.int64)
+    chunks = max(1, -(-len(hi) // _CHUNK_BITS))  # k=1 has no bits and one all-zero chunk
+    nibbles = np.zeros((chunks, 1 << _CHUNK_BITS, len(perms)), dtype=np.uint32)
+    values = np.arange(1 << _CHUNK_BITS)
+    for p, row in enumerate(edge_images):
+        chunk, shift = divmod(p, _CHUNK_BITS)
+        nibbles[chunk, values >> shift & 1 == 1] |= row.astype(np.uint32)
     witness_field = (perms.astype(np.uint64) << _WITNESS_SHIFTS[:k]).sum(axis=1, dtype=np.uint64)
-    return perms, witness_field, edge_images
+    return perms, witness_field, nibbles
+
+
+def _relabelings(nibbles: np.ndarray, bits: int) -> np.ndarray:
+    """bits relabeled by every column of _perm_tables, as (k!,) uint32: the
+    OR of one nibble-table row per chunk of bits."""
+    images = nibbles[0, bits & _CHUNK_MASK].copy()
+    for chunk in range(1, len(nibbles)):
+        images |= nibbles[chunk, bits >> _CHUNK_BITS * chunk & _CHUNK_MASK]
+    return images
 
 
 def _next_open(slots: np.ndarray, start: int) -> int:
@@ -288,13 +315,14 @@ def sift_partition(k: int, lo: int, hi: int, slots: np.ndarray | None = None) ->
 
     The range is scanned in ascending order.  Each time the scan reaches a
     bit vector t not yet claimed, t is the lowest in-range member of a new
-    class and becomes its temporary canonical.  All k! relabelings of t are
-    computed in one vectorized pass; their least is the class's global
-    canonical c.  If c differs from t, c is relabeled instead, which yields
-    the same class.  Each relabeling inside [lo, hi) offers its slot the
-    temp's index and its column, the key of its witness, and the slot keeps
-    the least offer: the least witness onto c.  When t is c, node u's orbit
-    label is u's least image under the relabelings that fix t.
+    class and becomes its temporary canonical.  All k! relabelings of t come
+    at once, each chunk of t's bits reading one row of _perm_tables' nibble
+    table; their least is the class's global canonical c.  If c differs
+    from t, c is relabeled instead, which yields the same class.  Each
+    relabeling inside [lo, hi) offers its slot the temp's index and its
+    column, the key of its witness, and the slot keeps the least offer: the
+    least witness onto c.  When t is c, node u's orbit label is u's least
+    image under the relabelings that fix t.
 
     slots, when given, is the (hi - lo)-entry uint64 array to sift into;
     otherwise the range gets an array of its own.
@@ -310,12 +338,7 @@ def sift_partition(k: int, lo: int, hi: int, slots: np.ndarray | None = None) ->
         raise ValueError(f"range [{lo}, {hi}) needs {span} uint64 slots, "
                          f"got {slots.shape} {slots.dtype}")
     slots.fill(_OPEN_SLOT)
-    perms, _, edge_images = _perm_tables(k)
-    edge_bits = np.arange(bit_length(k))
-
-    def relabelings(bits: int) -> np.ndarray:
-        return np.bitwise_or.reduce(edge_images[bits >> edge_bits & 1 == 1], axis=0)
-
+    perms, _, nibbles = _perm_tables(k)
     key_hi = np.arange(len(perms), dtype=np.uint64) << np.uint64(SLOT_KEY_SHIFT)
     temps: list[int] = []
     minima: list[int] = []
@@ -327,12 +350,12 @@ def sift_partition(k: int, lo: int, hi: int, slots: np.ndarray | None = None) ->
         if cursor >= span:
             break
         bits = lo + cursor
-        images = relabelings(bits)
+        images = _relabelings(nibbles, bits)
         low = int(images.min())
         if low == bits:
             labels.append(perms[images == low].min(axis=0))
         else:
-            images = relabelings(low)
+            images = _relabelings(nibbles, low)
         inside = (images >= lo) & (images < hi)
         np.minimum.at(slots, images[inside] - lo, key_hi[inside] | np.uint64(len(temps)))
         temps.append(bits)

@@ -151,8 +151,13 @@ def serialize(
 
 
 def _write(fh: BinaryIO, header: bytes, entries: np.ndarray, records: np.ndarray) -> None:
-    fh.write(header + entries.tobytes())
-    fh.write(memoryview(records).cast("B"))
+    """Write both sections whole.  A raw stream may take fewer bytes than it
+    is given and returns how many, so write is called until none are left; a
+    sink whose write returns None took them all."""
+    for section in (memoryview(header + entries.tobytes()), memoryview(records).cast("B")):
+        while section:
+            n = fh.write(section)
+            section = section[len(section) if n is None else n:]
 
 
 def deserialize(source: Destination) -> tuple[CanonicalCatalog, LookupTable, GlobalOrbitIndex]:

@@ -9,6 +9,7 @@ from graphette.canon import (
     SLOT_KEY_SHIFT,
     SLOT_TEMP_MASK,
     _perm_tables,
+    _relabelings,
     are_isomorphic,
     build_canonical_map_parallel,
     build_canonical_map_sequential,
@@ -20,6 +21,7 @@ from graphette.canon import (
 from graphette.core import (
     Graphette,
     Permutation,
+    _bit_layout,
     apply_permutation,
     bit_length,
     decode,
@@ -244,18 +246,58 @@ def test_sift_witnesses_point_at_global_canonicals(k, lo, hi):
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_perm_table_column_r_is_undone_by_perms_r(k):
-    perms, _, edge_images = _perm_tables(k)
+    perms, _, nibbles = _perm_tables(k)
     assert perms[0].tolist() == list(range(k))
     rng = random.Random(k)
     columns = sorted({0, len(perms) - 1, *rng.sample(range(len(perms)), min(len(perms), 64))})
     for _ in range(8):
         bits = rng.getrandbits(bit_length(k))
-        present = [(bits >> p & 1) == 1 for p in range(bit_length(k))]
-        images = np.bitwise_or.reduce(edge_images[present], axis=0)
+        images = _relabelings(nibbles, bits)
         assert images[0] == bits
         for r in columns:
             witness = Permutation(tuple(perms[r].tolist()))
             assert apply_permutation(Graphette(k, int(images[r])), witness).bits == bits
+
+
+def edge_image_rows(k: int) -> np.ndarray:
+    """(b(k), k!) int64: row p holds, for every perms[r], the bit that bit
+    p's edge (i, j) moves to under perms[r]'s inverse, from core's layout."""
+    inverse = np.argsort(_perm_tables(k)[0], axis=1)
+    hi, lo, weights = _bit_layout(k)
+    weight_at = np.zeros((k, k), dtype=np.int64)
+    weight_at[hi, lo] = weight_at[lo, hi] = weights
+    return weight_at[inverse[:, hi], inverse[:, lo]].T
+
+
+def reference_relabelings(rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """(len(bits), k!): each bit vector's OR over the edge-image rows of its set bits."""
+    out = np.zeros((len(bits), rows.shape[1]), dtype=np.int64)
+    for p, row in enumerate(rows):
+        out[(bits >> p & 1) == 1] |= row
+    return out
+
+
+def assert_relabelings_exact(k: int, bits: np.ndarray) -> None:
+    nibbles = _perm_tables(k)[2]
+    got = np.array([_relabelings(nibbles, int(b)) for b in bits])
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, reference_relabelings(edge_image_rows(k), bits))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_relabelings_are_exact_for_every_bit_vector(k):
+    perms, _, nibbles = _perm_tables(k)
+    assert nibbles.shape == (max(1, -(-bit_length(k) // 4)), 16, len(perms))
+    size = 1 << bit_length(k)
+    for start in range(0, size, 1 << 10):  # chunks bound the (bits, k!) arrays
+        assert_relabelings_exact(k, np.arange(start, min(size, start + (1 << 10))))
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_relabelings_are_exact_on_seeded_bit_vectors(k):
+    rng = np.random.default_rng(k)
+    size = 1 << bit_length(k)
+    assert_relabelings_exact(k, np.array([0, size - 1, *rng.integers(0, size, 62)]))
 
 
 @pytest.mark.parametrize("k", range(1, 9))

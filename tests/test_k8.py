@@ -1,6 +1,6 @@
 """The complete k=8 table, the paper's headline row (2^28 records).
 
-Opt-in, because one build takes about half a minute and 2 GiB of memory, and
+Opt-in, because one build takes 13-25 s and 2 GiB of memory, and
 loading it back from a file another 2 GiB.  The table is built both ways:
 partitioned (m=2) in a child process, and one-shot in this one.
 

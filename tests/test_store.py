@@ -237,6 +237,38 @@ def test_stream_ending_early_is_truncated(tables5):
         deserialize(TrickleStream(blob, catalog_end + 5000))
 
 
+class TrickleSink(io.RawIOBase):
+    """A raw stream that takes at most 1,000 bytes per write, as raw streams may."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, b) -> int:
+        taken = bytes(memoryview(b).cast("B")[:1000])
+        self.data += taken
+        return len(taken)
+
+
+class NoneSink:
+    """A write-only sink whose write returns None, as tests/test_k8.py's HashSink."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def write(self, b) -> None:
+        self.data += b
+
+
+@pytest.mark.parametrize("sink_type", [TrickleSink, NoneSink])
+def test_short_writes_save_every_byte(tables5, sink_type):
+    sink = sink_type()
+    tables5.save(sink)
+    assert bytes(sink.data) == table_bytes(tables5)
+
+
 def test_trailing_bytes(tables3):
     blob = table_bytes(tables3) + b"x"
     with pytest.raises(LengthMismatchError):
