@@ -10,6 +10,7 @@ written by this package depend on it.  `edge_bit` is the layout and
 
 from __future__ import annotations
 
+import mmap
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -191,20 +192,28 @@ def complement(g: Graphette) -> Graphette:
     return Graphette(g.k, g.bits ^ full)
 
 
+# Multiplicative hashing (Knuth, TAOCP vol. 3, section 6.4): C is odd, so
+# key -> key * C mod 2^64 is a bijection and the edge set stores hashes.
+_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
+
+
 class HostGraph:
     """A large undirected simple graph with O(k^2)-cost induced-subgraph reads.
 
     Adjacency is stored in compressed sparse rows (sorted neighbor arrays), so
-    a single edge test is a binary search in one node's neighbor list.
-    Batched edge tests search the sorted edge keys u*n + v (u < v) instead,
-    and the edge list is decoded from them.  Rows and keys take 24 bytes per
-    edge.
+    a single edge test is a binary search in one node's neighbor list, and
+    the i-th edge (u, v), u < v, in sorted order is read from the rows.
+    Batched edge tests probe an open-addressing set of the edge keys
+    u*n + v (u < v) instead, at load at most 1/2.  The rows hold int32
+    labels and take 8 bytes per edge and 16 per node, the set 16 to 32 bytes
+    per edge: 5.2 and 8.0 MiB for a configuration-model host of 100,000
+    nodes and 475,898 edges.
     """
 
     def __init__(self, n: int, edges: "Iterable[tuple[int, int]] | np.ndarray",
                  names: Sequence[str] | None = None):
-        if n < 1:
-            raise ValueError("host graph needs at least one node")
+        if not 1 <= n <= 1 << 31:
+            raise ValueError(f"host graph needs 1 to 2^31 nodes (int32 labels), got {n}")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -224,27 +233,68 @@ class HostGraph:
             self.names = [str(i) for i in range(n)]
         # Both orientations' keys u*n + v, deduplicated after one sort (numpy
         # 2.4's hash-based np.unique is ~60x slower), are the adjacency slots:
-        # row u is the run [u*n, (u+1)*n).  Those with u < v are the edge keys,
-        # and the trailing n*n exceeds every key to keep searchsorted in bounds.
+        # row u is the run [u*n, (u+1)*n).  Those with u < v are the edge
+        # keys, and _upper_ptr[u] counts the edge keys of the rows before u.
         u, v = arr.T
         slots = np.sort(np.concatenate([u * n + v, v * n + u]))
         slots = slots[np.diff(slots, prepend=-1) != 0]
-        rows, self._indices = np.divmod(slots, n)
-        self._indptr = np.searchsorted(slots, np.arange(n + 1, dtype=np.int64) * n)
-        self._edge_keys = np.append(slots[rows < self._indices], n * n)
+        rows, cols = np.divmod(slots, n)
+        self._indices = cols.astype(np.int32)
+        starts = np.arange(n + 1, dtype=np.int64) * n
+        self._indptr = np.searchsorted(slots, starts)
+        keys = slots[rows < cols]
+        del slots, rows, cols  # freed before the hash set is laid out
+        self._upper_ptr = np.searchsorted(keys, starts)
+        self._hash_edges(keys)
+
+    def _hash_edges(self, keys: np.ndarray) -> None:
+        """Lay out the open-addressing set of the edge keys, hashing them in place.
+
+        The set stores h = key * C mod 2^64 at or after slot h >> shift, the
+        top bits of h, in 2^b slots for at least 2m.  In sorted order, hash i
+        goes to the first free position from its slot, pos = max(slot_i,
+        pos_{i-1} + 1), so every run of taken positions is sorted by hash
+        and a probe stops at the first hash not below its own.  The table
+        ends one position past the last taken one and never wraps.  Free
+        positions hold the hash of n*n, which no pair u < v has.
+        """
+        hashes = keys.view(np.uint64)
+        hashes *= np.uint64(_HASH_MULTIPLIER)
+        hashes.sort()
+        bits = max(1, (2 * len(keys) - 1).bit_length())
+        self._hash_shift = np.uint64(64 - bits)
+        self._hash_free = np.uint64(self.n * self.n * _HASH_MULTIPLIER % (1 << 64))
+        ranks = np.arange(len(keys), dtype=np.int64)
+        pos = (hashes >> self._hash_shift).view(np.int64)
+        pos -= ranks
+        np.maximum.accumulate(pos, out=pos)
+        pos += ranks
+        # The table is its own anonymous mapping, not a malloc block: in the
+        # heap it splits the space that the build's temporaries free, which
+        # later large buffers then cannot reuse, and a mapping is returned
+        # whole when the graph is dropped.
+        size = max(1 << bits, int(pos[-1]) + 2 if len(pos) else 0)
+        self._hash_table = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.uint64)
+        self._hash_table[:] = self._hash_free
+        self._hash_table[pos] = hashes
 
     @property
     def edge_count(self) -> int:
-        return len(self._edge_keys) - 1
+        return int(self._upper_ptr[-1])
 
     def edge_ends(self, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ends (u, v), u < v, of the i-th edges in sorted order (unchecked)."""
-        return np.divmod(self._edge_keys[i], self.n)
+        """Ends (u, v), u < v, of the i-th edges in sorted order (unchecked).
+
+        Edge i is in row u, the last row whose _upper_ptr[u] <= i, among the
+        neighbors above u that end row u.
+        """
+        u = np.searchsorted(self._upper_ptr, i, side="right") - 1
+        return u, self._indices[self._indptr[u + 1] - self._upper_ptr[u + 1] + i]
 
     @property
     def edge_array(self) -> np.ndarray:
         """(m, 2) edges (u, v), u < v, lexicographically sorted; built on each read."""
-        return np.stack(self.edge_ends(slice(0, self.edge_count)), axis=1)
+        return np.stack(self.edge_ends(np.arange(self.edge_count)), axis=1)
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor labels of u (a view; do not mutate)."""
@@ -270,17 +320,26 @@ class HostGraph:
         """Elementwise edge tests between broadcastable label arrays.
 
         Labels must be in range; nothing is checked.  A pair of equal labels
-        tests False, as the host has no self-loops.  All tests are one
-        searchsorted over the sorted edge keys, searched in sorted order so
-        that successive searches stay in the same part of the table, several
-        times faster on large hosts.
+        tests False, as the host has no self-loops.  Each test probes the
+        hashed edge set from its key's slot until it meets its hash, a
+        larger one or a free position; each round gathers one position for
+        every test still open.  At load 0.45 a test reads 1.42 positions on
+        average, hit or miss.
         """
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         keys = np.minimum(a, b) * self.n + np.maximum(a, b)
-        flat = keys.reshape(-1)
-        order = np.argsort(flat)
-        table = self._edge_keys
-        hit = np.empty(flat.shape, dtype=bool)
-        hit[order] = table[np.searchsorted(table, flat[order])] == flat[order]
+        hashes = keys.reshape(-1).view(np.uint64) * np.uint64(_HASH_MULTIPLIER)
+        pos = (hashes >> self._hash_shift).view(np.int64)
+        found = self._hash_table[pos]
+        hit = found == hashes
+        todo = np.flatnonzero((found < hashes) & (found != self._hash_free))
+        pos, hashes = pos[todo], hashes[todo]
+        while todo.size:
+            pos += 1
+            found = self._hash_table[pos]
+            hit[todo] = found == hashes
+            more = (found < hashes) & (found != self._hash_free)
+            todo, pos, hashes = todo[more], pos[more], hashes[more]
         return hit.reshape(keys.shape)
 
 

@@ -6,8 +6,8 @@ accumulate graphette counts, orbit counts, and the per-node orbit degree
 vector.  An exhaustive enumerator over all k-subsets doubles as the exact
 oracle for small hosts.
 
-Identification runs in numpy batches of up to BATCH k-sets: one searchsorted
-over the host's edge keys for every edge test of the batch, one fancy-indexed
+Identification runs in numpy batches of up to BATCH k-sets: one probe of the
+host's hashed edge set for every edge test of the batch, one fancy-indexed
 table decode, and bincounts into the tallies.  Every strategy draws a whole
 block of k-sets at once in _draw_batch, and draw_sample is its batch of one.
 Local and edge expansion grow every row of the block one column at a time:

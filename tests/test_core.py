@@ -249,6 +249,13 @@ def test_host_graph_rejects_self_loops_and_bad_labels():
         HostGraph(3, [(0, 3)])
 
 
+def test_host_graph_refuses_labels_beyond_int32():
+    with pytest.raises(ValueError, match=r"2\^31"):
+        HostGraph((1 << 31) + 1, [])
+    with pytest.raises(ValueError, match="got 0"):
+        HostGraph(0, [])
+
+
 def test_host_graph_collapses_duplicates():
     g = HostGraph(2, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count == 1
@@ -260,7 +267,7 @@ def test_host_graph_list_and_array_inputs_agree():
     from_array = HostGraph(6, np.array(pairs, dtype=np.int64))
     assert from_list.edge_array.tolist() == [[0, 2], [0, 4], [1, 2], [1, 3]]
     assert np.array_equal(from_list.edge_array, from_array.edge_array)
-    assert np.array_equal(from_list._edge_keys, from_array._edge_keys)
+    assert np.array_equal(from_list._hash_table, from_array._hash_table)
     for u in range(6):
         assert np.array_equal(from_list.neighbors(u), from_array.neighbors(u))
 
@@ -363,3 +370,61 @@ def test_has_edges_on_a_random_large_host():
     assert np.array_equal(g.has_edges(a, b), expected)
     assert g.has_edges(arr[:, 0], arr[:, 1]).all()
     assert g.has_edges(arr[:, 1], arr[:, 0]).all()
+
+
+def test_has_edges_on_one_cluster_that_runs_into_the_tail():
+    # Every key hashes (key * C mod 2^64, C = 0x9E3779B97F4A7C15) into the top
+    # 1/64 of the range: the last of the 16 slots that 8 edges get.  The
+    # cluster fills the last slot and the 8 - 1 positions of the tail after it.
+    n = 60
+    pairs = [(u, v) for u, v in itertools.combinations(range(n), 2)
+             if (u * n + v) * 0x9E3779B97F4A7C15 % 2**64 >> 58 == 63][:8]
+    assert len(pairs) == 8
+    g = HostGraph(n, pairs)
+    assert len(g._hash_table) == 16 + 8
+    a, b = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    assert_has_edges_matches(g, host_edge_set(pairs), a, b)
+
+
+def test_host_graph_with_one_node():
+    g = HostGraph(1, [])
+    assert g.edge_count == 0
+    assert g.edge_array.shape == (0, 2)
+    assert not g.has_edge(0, 0)
+    assert not g.has_edges(np.zeros(3, dtype=np.int64), np.zeros((2, 1), dtype=np.int64)).any()
+
+
+def test_has_edges_takes_the_int32_labels_of_neighbors():
+    n = 100_000  # u*n + v overflows int32
+    g = HostGraph(n, [(99_998, 99_999), (70_000, 99_999), (5, 99_999)])
+    row = g.neighbors(99_999)
+    assert row.tolist() == [5, 70_000, 99_998]
+    assert g.has_edges(row, np.full(3, 99_999, dtype=np.int32)).all()
+    assert not g.has_edges(row, row).any()
+
+
+def test_has_edges_matches_the_scalar_search_on_100k_pairs():
+    rng = np.random.default_rng(11)
+    n = 3000
+    arr = rng.integers(n, size=(30_000, 2))
+    g = HostGraph(n, arr[arr[:, 0] != arr[:, 1]])
+    # half of the pairs are edges, in either orientation; half are uniform
+    ends = g.edge_array[rng.integers(g.edge_count, size=50_000)]
+    ends = rng.permuted(ends, axis=1)
+    a, b = np.concatenate([ends, rng.integers(n, size=(50_000, 2))]).T
+    expected = [g.has_edge(u, v) for u, v in zip(a.tolist(), b.tolist())]
+    assert 50_000 <= sum(expected) < 51_000
+    assert g.has_edges(a, b).tolist() == expected
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (9, 0), (20, 400), (60, 200), (3000, 10_000)])
+def test_edge_ends_read_the_edges_in_lexicographic_order(n, m):
+    # edge draws index this order, so it pins the bytes of edge-expansion reports
+    rng = np.random.default_rng(n + m)
+    arr = rng.integers(n, size=(m, 2))
+    arr = arr[arr[:, 0] != arr[:, 1]]
+    g = HostGraph(n, arr)
+    expected = sorted({(min(u, v), max(u, v)) for u, v in arr.tolist()})
+    u, v = g.edge_ends(np.arange(g.edge_count))
+    assert list(zip(u.tolist(), v.tolist())) == expected
+    assert g.edge_array.tolist() == [list(e) for e in expected]

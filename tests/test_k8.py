@@ -2,7 +2,8 @@
 
 Opt-in, because one build takes 13-25 s and 2 GiB of memory, and
 loading it back from a file another 2 GiB.  The table is built both ways:
-partitioned (m=2) in a child process, and one-shot in this one.
+partitioned (m=2) in a child process, and one-shot in this one.  A uniform
+k=8 sample through it must match the census of a 12-node host.
 
     GRAPHETTE_K8=1 PYTHONPATH=src python -m pytest -q -s tests/test_k8.py
 """
@@ -22,7 +23,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from graphette.core import Graphette, HostGraph, apply_permutation, bit_length, decode
+from graphette.core import (Graphette, HostGraph, apply_permutation, bit_length, decode,
+                            induced_bits_batch)
 from graphette.orbits import orbit_partition
 from graphette.sampler import exhaustive_enumerate, sample_distribution
 from graphette.store import TableSet
@@ -124,6 +126,51 @@ def test_k8_orbit_labels_match_orbit_partition(k8):
         assert tuple(labels) == orbit_partition(catalog.graphette(cid)).orbit_of
 
 
+def er_12_half() -> HostGraph:
+    """ER(12, 0.5), whose C(12, 8) = 495 8-subsets the census enumerates."""
+    rng = random.Random(12)
+    return HostGraph(12, [e for e in itertools.combinations(range(12), 2) if rng.random() < 0.5])
+
+
+# A correct sampler fails the gate in at most this share of runs: each class
+# is tested at FALSE_ALARM / (number of classes) (Bonferroni), split evenly
+# between the two tails.
+FALSE_ALARM = 1e-3
+
+
+def binomial_outliers(counts: np.ndarray, probs: np.ndarray, draws: int) -> np.ndarray:
+    """Classes whose count of `draws` samples lies in a tail of Binom(draws, p)
+    of mass below FALSE_ALARM / (2 * number of classes with p > 0); a class
+    with p = 0 is an outlier as soon as it is seen."""
+    from scipy.stats import binom  # only this opt-in module needs scipy
+
+    level = FALSE_ALARM / (2 * np.count_nonzero(probs))
+    low = binom.cdf(counts, draws, probs) < level
+    high = binom.sf(counts - 1, draws, probs) < level
+    return np.flatnonzero(low | high)
+
+
+def test_k8_uniform_sample_matches_the_census(k8):
+    tables, _ = k8
+    host = er_12_half()
+    exact = exhaustive_enumerate(host, tables).graphette_counts
+    assert exact.sum() == math.comb(12, 8)
+    probs = exact / exact.sum()
+    draws = 20_000
+    start = time.perf_counter()
+    sampled = sample_distribution(host, tables, draws, seed=8).graphette_counts
+    print(f"\nk=8 uniform sample of {draws} 8-sets {time.perf_counter() - start:.2f} s, "
+          f"{np.count_nonzero(sampled)} of {np.count_nonzero(probs)} classes seen")
+    assert binomial_outliers(sampled, probs, draws).size == 0
+
+    # biased: every 8-set holds node 0, so the C(11, 8) = 165 without it are never drawn
+    rows = np.random.default_rng(8).permuted(np.tile(np.arange(1, 12), (draws, 1)), axis=1)
+    rows[:, 7] = 0
+    cids, _ = tables.identify_batch(induced_bits_batch(host, rows[:, :8]))
+    biased = np.bincount(cids, minlength=len(probs))
+    assert binomial_outliers(biased, probs, draws).size > 0
+
+
 def test_k8_peak_rss_under_half_of_memory(k8):
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024  # KiB on Linux
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -143,8 +190,7 @@ def test_k8_load_and_identify_through_the_file(k8, tmp_path):
     loaded.save(sink)
     assert sink.digest.hexdigest() == K8_SHA256
 
-    rng = random.Random(12)
-    host = HostGraph(12, [e for e in itertools.combinations(range(12), 2) if rng.random() < 0.5])
+    host = er_12_half()
     exact = exhaustive_enumerate(host, loaded)
     counts = exact.graphette_counts
     assert counts.sum() == math.comb(12, 8)
