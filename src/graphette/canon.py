@@ -30,14 +30,12 @@ A build holds one uint64 slot per bit vector in one array: each range sifts
 into its slice of it, and the merge turns every slot into that vector's
 record in place, packing the witness through a table of k! entries.  So
 every build holds 8 bytes per entry (2 GiB at k=8), one-shot or
-partitioned, plus, when a pool sifts the ranges, the ranges its workers
-hold.
+partitioned; the ranges are sifted one after another in one process.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -161,12 +159,12 @@ class SiftPartition:
 
     temp_canonicals holds the lowest member of each class local to the range
     and temp_minima the class's global canonical (the least of its k!
-    relabelings).  slots[b - lo] packs, in the slot layout above, the index
-    of member b's temp canonical and the least r such that _perm_tables'
-    perms[r] sends b onto the global canonical: the witness the table stores
-    for b.  slots is the range's own array, or its slice of the one array a
-    build sifts every range into.  orbit_labels (n, k) holds the label row
-    of each temp canonical that is its own minimum, in temp order.
+    relabelings).  The range's slice of the slot array it was sifted into
+    packs at b - lo, in the slot layout above, the index of member b's temp
+    canonical and the least r such that _perm_tables' perms[r] sends b onto
+    the global canonical: the witness the table stores for b.  orbit_labels
+    (n, k) holds the label row of each temp canonical that is its own
+    minimum, in temp order.
     """
 
     k: int
@@ -175,7 +173,6 @@ class SiftPartition:
     temp_canonicals: np.ndarray
     temp_minima: np.ndarray
     orbit_labels: np.ndarray
-    slots: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +307,7 @@ def _check_build_k(k: int) -> None:
 # the sweep
 
 
-def sift_partition(k: int, lo: int, hi: int, slots: np.ndarray | None = None) -> SiftPartition:
+def sift_partition(k: int, lo: int, hi: int, slots: np.ndarray) -> SiftPartition:
     """Classify one contiguous range of bit vectors in isolation.
 
     The range is scanned in ascending order.  Each time the scan reaches a
@@ -324,17 +321,15 @@ def sift_partition(k: int, lo: int, hi: int, slots: np.ndarray | None = None) ->
     least witness onto c.  When t is c, node u's orbit label is u's least
     image under the relabelings that fix t.
 
-    slots, when given, is the (hi - lo)-entry uint64 array to sift into;
-    otherwise the range gets an array of its own.
+    slots is the (hi - lo)-entry uint64 array to sift into: the range's
+    slice of the build's one slot array.
     """
     _check_build_k(k)
     size = 1 << bit_length(k)
     if not (0 <= lo < hi <= size):
         raise ValueError(f"empty or out-of-range partition [{lo}, {hi}) for k={k}")
     span = hi - lo
-    if slots is None:
-        slots = np.empty(span, dtype=np.uint64)
-    elif slots.shape != (span,) or slots.dtype != np.uint64:
+    if slots.shape != (span,) or slots.dtype != np.uint64:
         raise ValueError(f"range [{lo}, {hi}) needs {span} uint64 slots, "
                          f"got {slots.shape} {slots.dtype}")
     slots.fill(_OPEN_SLOT)
@@ -369,7 +364,6 @@ def sift_partition(k: int, lo: int, hi: int, slots: np.ndarray | None = None) ->
         temp_canonicals=np.array(temps, dtype=np.int64),
         temp_minima=np.array(minima, dtype=np.int64),
         orbit_labels=np.array(labels, dtype=np.uint8).reshape(-1, k),
-        slots=slots,
     )
 
 
@@ -397,14 +391,13 @@ def _validate_tiling(parts: Sequence[SiftPartition]) -> list[SiftPartition]:
 
 
 def merge_siftings(
-    parts: Sequence[SiftPartition], slots: np.ndarray | None = None
+    parts: Sequence[SiftPartition], slots: np.ndarray
 ) -> tuple[CanonicalCatalog, LookupTable]:
     """Fuse per-range siftings into the global catalog and lookup table.
 
     slots is the one array of 2^b(k) entries that the parts were sifted
     into, part p's slots being slots[p.lo:p.hi]; the merge takes it over and
-    turns it into the table's records in place.  Without it, the parts'
-    own slot arrays are joined into one first.  The canonicals are the temp
+    turns it into the table's records in place.  The canonicals are the temp
     canonicals that are their own minimum (the class's lowest member always
     survives its own range).  Every range already holds each member's least
     witness onto its global canonical, so the merge only assembles records:
@@ -414,9 +407,7 @@ def merge_siftings(
     """
     ordered = _validate_tiling(parts)
     k = ordered[0].k
-    if slots is None:
-        slots = np.concatenate([p.slots for p in ordered])
-    elif slots.shape != (1 << bit_length(k),):
+    if slots.shape != (1 << bit_length(k),):
         raise ValueError(f"k={k} slots need {1 << bit_length(k)} entries, got {slots.shape}")
 
     temps = np.concatenate([p.temp_canonicals for p in ordered])
@@ -459,36 +450,19 @@ def partition_ranges(k: int, m: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(m)]
 
 
-def build_canonical_map_parallel(
-    k: int, m: int, workers: int = 1
-) -> tuple[CanonicalCatalog, LookupTable]:
-    """Sift m bit-vector ranges (concurrently when workers > 1) and merge.
+def build_canonical_map_parallel(k: int, m: int) -> tuple[CanonicalCatalog, LookupTable]:
+    """Sift m bit-vector ranges, one after another, and merge.
 
     Every range sifts into its slice of one slot array, which the merge
-    turns into the record array.  Output is identical for every m, worker
-    count and completion order; m=1 is the one-shot build.
+    turns into the record array.  Output is identical for every m; m=1 is
+    the one-shot build, and m > 1 cross-checks it.
     """
     _check_build_k(k)
     ranges = partition_ranges(k, m)
     size = 1 << bit_length(k)
-    pooled = workers > 1 and len(ranges) > 1
-    in_flight = min(workers, len(ranges)) if pooled else 0
-    # 8 bytes per entry for the slot array, and as much for each range a worker holds
-    check_memory(8 * (size + in_flight * max(hi - lo for lo, hi in ranges)),
-                 f"a k={k} table build from {len(ranges)} ranges"
-                 + (f" on {workers} workers" if pooled else ""))
+    check_memory(8 * size, f"a k={k} table build from {len(ranges)} ranges")
     slots = np.empty(size, dtype=np.uint64)
-    if not pooled:
-        parts = [sift_partition(k, lo, hi, slots[lo:hi]) for lo, hi in ranges]
-    else:
-        parts = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(sift_partition, k, lo, hi) for lo, hi in ranges]
-            for future in as_completed(futures):
-                part = future.result()  # into its slice as it arrives; its own array is dropped
-                slots[part.lo:part.hi] = part.slots
-                part.slots = slots[part.lo:part.hi]
-                parts.append(part)
+    parts = [sift_partition(k, lo, hi, slots[lo:hi]) for lo, hi in ranges]
     return merge_siftings(parts, slots)
 
 

@@ -42,13 +42,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="graphette order, 1..8 (default 5)")
     p.add_argument("-m", "--partitions", type=_positive_int, default=1,
                    help="number of sift partitions (default 1: one-shot scan)")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="concurrent sift workers (default 1)")
     p.add_argument("-o", "--out", required=True, help="output table file path")
 
     p = sub.add_parser("orbits", help="list canonicals with their orbit partitions")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("-k", type=_positive_int, help="build on the fly, 1..8")
+    src.add_argument("-k", type=_positive_int,
+                     help="build the whole table on the fly, 1..8 (k=8 takes 13-17 s and "
+                          "2.1 GiB; --table reads a saved file in about 1 s)")
     src.add_argument("--table", help="read canonicals from a table file")
     p.add_argument("-o", "--out", help="output path (default stdout)")
 
@@ -101,7 +101,7 @@ def _parse_edges_literal(text: str, k: int) -> Graphette:
 
 def _cmd_build_table(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    tables = store.TableSet.build(args.k, m=args.partitions, workers=args.workers)
+    tables = store.TableSet.build(args.k, m=args.partitions)
     tables.save(args.out)
     elapsed = time.perf_counter() - start
     print(

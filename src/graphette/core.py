@@ -237,7 +237,10 @@ class HostGraph:
         # keys, and _upper_ptr[u] counts the edge keys of the rows before u.
         u, v = arr.T
         slots = np.sort(np.concatenate([u * n + v, v * n + u]))
-        slots = slots[np.diff(slots, prepend=-1) != 0]
+        first = np.empty(len(slots), dtype=bool)  # one bool per key, no int64 temporaries
+        first[:1] = True
+        np.not_equal(slots[1:], slots[:-1], out=first[1:])
+        slots = slots[first]
         rows, cols = np.divmod(slots, n)
         self._indices = cols.astype(np.int32)
         starts = np.arange(n + 1, dtype=np.int64) * n

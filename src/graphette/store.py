@@ -264,7 +264,11 @@ class TableSet:
     @classmethod
     def build(cls, k: int, m: int = 1, workers: int = 1) -> "TableSet":
         """Build everything for one k from m sifted ranges (m=1: one-shot)."""
-        catalog, table = build_canonical_map_parallel(k, m, workers)
+        # workers is kept only for perfbench/session.py, which passes workers=1;
+        # the ranges are always sifted in this process
+        if workers != 1:
+            raise ValueError(f"table builds run in one process; workers must be 1, got {workers}")
+        catalog, table = build_canonical_map_parallel(k, m)
         return cls(catalog, table, assign_global_orbit_ids(catalog))
 
     @classmethod

@@ -77,7 +77,7 @@ def test_criterion_01_canonical_counts():
 
 def test_criterion_01_extended_k7_parallel():
     start = time.perf_counter()
-    catalog, _ = build_canonical_map_parallel(7, m=64, workers=4)
+    catalog, _ = build_canonical_map_parallel(7, m=64)
     elapsed = time.perf_counter() - start
     ok = len(catalog) == NC_K7 and elapsed < 7200.0
     report("extended target k=7 via parallel sifting (m=64)", ok,
@@ -156,8 +156,9 @@ def test_criterion_04_parallel_sequential_byte_identity():
     reference.save(ref_buf)
     identical = {}
     for m in (1, 2, 4, 16):
-        parts = [sift_partition(5, lo, hi) for lo, hi in partition_ranges(5, m)]
-        catalog, table = merge_siftings(parts)
+        slots = np.empty(1 << bit_length(5), dtype=np.uint64)
+        parts = [sift_partition(5, lo, hi, slots[lo:hi]) for lo, hi in partition_ranges(5, m)]
+        catalog, table = merge_siftings(parts, slots)
         compute_orbit_partitions(catalog)
         buf = io.BytesIO()
         TableSet(catalog, table, assign_global_orbit_ids(catalog)).save(buf)

@@ -210,16 +210,22 @@ def test_sequential_k_bounds():
 # --- sifting -----------------------------------------------------------------
 
 
+def sift_ranges(k, ranges):
+    """Sift each (lo, hi) range into its slice of one k-wide slot array."""
+    slots = np.empty(1 << bit_length(k), dtype=np.uint64)
+    return [sift_partition(k, lo, hi, slots[lo:hi]) for lo, hi in ranges], slots
+
+
 def test_sift_single_partition_equals_sequential_catalog():
     catalog, _ = build_canonical_map_sequential(4)
-    part = sift_partition(4, 0, 1 << bit_length(4))
+    [part], _ = sift_ranges(4, [(0, 1 << bit_length(4))])
     assert part.temp_canonicals.tolist() == catalog.canonicals.tolist()
 
 
 def test_sift_k3_upper_half():
-    part = sift_partition(3, 4, 8)
+    [part], slots = sift_ranges(3, [(4, 8)])
     assert part.temp_canonicals.tolist() == [4, 5, 7]
-    tc_index = part.slots & SLOT_TEMP_MASK
+    tc_index = slots[4:8] & SLOT_TEMP_MASK
     # member 6 maps to temp canonical 5
     assert part.temp_canonicals[tc_index[6 - 4]] == 5
     # temp canonicals map to themselves
@@ -229,11 +235,11 @@ def test_sift_k3_upper_half():
 
 @pytest.mark.parametrize("k, lo, hi", [(4, 16, 64), (5, 300, 700)])
 def test_sift_witnesses_point_at_global_canonicals(k, lo, hi):
-    part = sift_partition(k, lo, hi)
+    [part], slots = sift_ranges(k, [(lo, hi)])
     # the range starts mid-space, so some temps are not canonicals
     assert (part.temp_minima != part.temp_canonicals).any()
-    tc_index = part.slots & SLOT_TEMP_MASK
-    witness_key = part.slots >> SLOT_KEY_SHIFT
+    tc_index = slots[lo:hi] & SLOT_TEMP_MASK
+    witness_key = slots[lo:hi] >> SLOT_KEY_SHIFT
     perms = _perm_tables(k)[0]
     for b in range(lo, hi):
         witness = Permutation(tuple(perms[witness_key[b - lo]].tolist()))
@@ -311,14 +317,14 @@ def test_witness_field_is_the_packed_record_witness(k):
 
 def test_sift_rejects_empty_range():
     with pytest.raises(ValueError):
-        sift_partition(3, 4, 4)
+        sift_ranges(3, [(4, 4)])
     with pytest.raises(ValueError):
-        sift_partition(3, 0, 9)
+        sift_ranges(3, [(0, 9)])
 
 
 def test_merge_single_partition_equals_sequential():
     cat_s, tab_s = build_canonical_map_sequential(4)
-    cat_m, tab_m = merge_siftings([sift_partition(4, 0, 64)])
+    cat_m, tab_m = merge_siftings(*sift_ranges(4, [(0, 64)]))
     assert cat_m.canonicals.tolist() == cat_s.canonicals.tolist()
     assert np.array_equal(tab_m.records, tab_s.records)
 
@@ -326,16 +332,14 @@ def test_merge_single_partition_equals_sequential():
 @pytest.mark.parametrize("m", [2, 4, 16])
 def test_merge_matches_sequential_k5(m):
     cat_s, tab_s = build_canonical_map_sequential(5)
-    parts = [sift_partition(5, lo, hi) for lo, hi in partition_ranges(5, m)]
-    cat_m, tab_m = merge_siftings(parts)
+    cat_m, tab_m = merge_siftings(*sift_ranges(5, partition_ranges(5, m)))
     assert cat_m.canonicals.tolist() == cat_s.canonicals.tolist()
     assert cat_m.connected.tolist() == cat_s.connected.tolist()
     assert np.array_equal(tab_m.records, tab_s.records)
 
 
 def test_merge_witnesses_verify():
-    parts = [sift_partition(4, lo, hi) for lo, hi in partition_ranges(4, 8)]
-    catalog, table = merge_siftings(parts)
+    catalog, table = merge_siftings(*sift_ranges(4, partition_ranges(4, 8)))
     for bits in range(64):
         w = Permutation(table.read(bits)[2])
         out = apply_permutation(Graphette(4, bits), w)
@@ -344,23 +348,17 @@ def test_merge_witnesses_verify():
 
 def test_merge_rejects_non_tiling():
     with pytest.raises(ValueError):
-        merge_siftings([sift_partition(3, 0, 4)])  # gap at the top
+        merge_siftings(*sift_ranges(3, [(0, 4)]))  # gap at the top
     with pytest.raises(ValueError):
-        merge_siftings([sift_partition(3, 0, 4), sift_partition(3, 5, 8)])
+        merge_siftings(*sift_ranges(3, [(0, 4), (5, 8)]))
+    parts3, slots3 = sift_ranges(3, [(0, 8)])
     with pytest.raises(ValueError):
-        merge_siftings([sift_partition(3, 0, 8), sift_partition(4, 0, 64)])
+        merge_siftings(parts3 + sift_ranges(4, [(0, 64)])[0], slots3)
     with pytest.raises(ValueError):
-        merge_siftings([])
+        merge_siftings([], slots3)
 
 
 # --- parallel builder --------------------------------------------------------
-
-
-def test_parallel_k4_m8_workers():
-    catalog, table = build_canonical_map_parallel(4, 8, workers=4)
-    assert len(catalog) == 11
-    ref_cat, ref_tab = build_canonical_map_sequential(4)
-    assert np.array_equal(table.records, ref_tab.records)
 
 
 def test_parallel_k6_m16():
@@ -368,11 +366,10 @@ def test_parallel_k6_m16():
     assert len(catalog) == 156
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_every_partitioning_gives_the_one_shot_records(workers):
+def test_every_partitioning_gives_the_one_shot_records():
     ref_cat, ref_tab = build_canonical_map_sequential(6)
     for m in (2, 4, 16, 64):
-        catalog, table = build_canonical_map_parallel(6, m, workers)
+        catalog, table = build_canonical_map_parallel(6, m)
         assert np.array_equal(table.records, ref_tab.records)
         assert np.array_equal(catalog.orbit_labels, ref_cat.orbit_labels)
 
@@ -392,7 +389,7 @@ def test_partitioned_build_holds_one_slot_array():
 
 def test_merge_refuses_a_slot_array_of_the_wrong_size():
     with pytest.raises(ValueError, match="64 entries"):
-        merge_siftings([sift_partition(4, 0, 64)], np.zeros(32, dtype=np.uint64))
+        merge_siftings(sift_ranges(4, [(0, 64)])[0], np.zeros(32, dtype=np.uint64))
     with pytest.raises(ValueError, match="4 uint64 slots"):
         sift_partition(3, 4, 8, np.zeros(8, dtype=np.uint64))
 

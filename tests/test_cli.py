@@ -43,8 +43,14 @@ def test_build_table_partitioned_matches(tmp_path):
     a = tmp_path / "a.table"
     b = tmp_path / "b.table"
     assert main(["build-table", "-k", "4", "-o", str(a)]) == EXIT_OK
-    assert main(["build-table", "-k", "4", "-m", "8", "--workers", "2", "-o", str(b)]) == EXIT_OK
+    assert main(["build-table", "-k", "4", "-m", "8", "-o", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_build_table_has_no_workers_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["build-table", "-k", "4", "--workers", "2", "-o", "x.table"])
+    assert exc.value.code == 2
 
 
 def test_build_table_rejects_k0():

@@ -261,6 +261,18 @@ def test_host_graph_collapses_duplicates():
     assert g.edge_count == 1
 
 
+def test_host_graph_dedupe_keeps_each_edge_once_and_an_edgeless_host_empty():
+    g = HostGraph(5, [(3, 1), (1, 3), (0, 4), (4, 0), (3, 1), (2, 3)])
+    assert g.edge_array.tolist() == [[0, 4], [1, 3], [2, 3]]
+    assert g.neighbors(3).tolist() == [1, 2]
+    a, b = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
+    assert_has_edges_matches(g, host_edge_set([(0, 4), (1, 3), (2, 3)]), a, b)
+    empty = HostGraph(5, np.empty((0, 2), dtype=np.int64))
+    assert empty.edge_count == 0
+    assert empty.edge_array.shape == (0, 2)
+    assert not empty.has_edges(a, b).any()
+
+
 def test_host_graph_list_and_array_inputs_agree():
     pairs = [(3, 1), (0, 4), (1, 3), (2, 0), (4, 0), (1, 2), (3, 1)]
     from_list = HostGraph(6, pairs)

@@ -130,9 +130,11 @@ def test_build_refuses_more_than_half_of_memory(monkeypatch):
     for m in (1, 8):
         with pytest.raises(ValueError, match="16777216 bytes"):
             TableSet.build(7, m=m)
-    # a pool adds the range each worker holds: 2 x 128 KiB on top of the array
-    with pytest.raises(ValueError, match="524288 bytes"):
-        TableSet.build(6, m=2, workers=2)
+
+
+def test_build_refuses_more_than_one_worker():
+    with pytest.raises(ValueError, match="workers must be 1"):
+        TableSet.build(4, workers=2)
 
 
 def test_load_refuses_more_than_half_of_memory(tmp_path, monkeypatch):
