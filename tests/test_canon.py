@@ -366,10 +366,13 @@ def test_parallel_k6_m16():
     assert len(catalog) == 156
 
 
-def test_every_partitioning_gives_the_one_shot_records():
+@pytest.mark.parametrize("step", [1, 2])
+def test_every_partitioning_gives_the_one_shot_records(step):
+    # step 1 tiles the 64-entry space into equal ranges; step 2 takes the
+    # next count up, whose ranges differ in size
     ref_cat, ref_tab = build_canonical_map_sequential(6)
     for m in (2, 4, 16, 64):
-        catalog, table = build_canonical_map_parallel(6, m)
+        catalog, table = build_canonical_map_parallel(6, m + step - 1)
         assert np.array_equal(table.records, ref_tab.records)
         assert np.array_equal(catalog.orbit_labels, ref_cat.orbit_labels)
 
