@@ -3,12 +3,8 @@
 from .canon import (
     CanonicalCatalog,
     LookupTable,
-    SiftPartition,
     are_isomorphic,
-    build_canonical_map_parallel,
-    build_canonical_map_sequential,
-    merge_siftings,
-    sift_partition,
+    build_canonical_map,
 )
 from .core import (
     Graphette,

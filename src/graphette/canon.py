@@ -11,26 +11,28 @@ what makes one-shot and partitioned builds produce identical bytes; it also
 guarantees every canonical entry carries the identity witness, since the
 identity is lexicographically least inside any permutation group.
 
-Every build is one sweep: contiguous ranges of bit vectors are sifted
-(``sift_partition``) and the ranges merged (``merge_siftings``); the one-shot
-build is the single range [0, 2^b(k)).  The sweep relabels each class's
-lowest in-range member by the inverses of the k! permutations, listed in
-lexicographic order, which yields the class's global canonical; when that
-member is not the canonical, the canonical is relabeled instead.  The r-th
-permutation undoes the r-th relabeling, so r keys its witness and the least
-r is the least witness: every range stores each member's least witness onto
-the global canonical, and the merge only assembles records.  The relabelings
-that fix a canonical are its automorphisms; node orbits are read off them.
-One relabeling by all k! permutations is a few table reads: the bit vector
-is cut into 4-bit chunks, and for each chunk and each of its 16 values a
-precomputed uint32 row holds the OR of the images of its set bits under
-every permutation, so the k! images are the OR of one row per chunk.
+Every build is one sweep (``build_canonical_map``): m contiguous ranges of
+bit vectors are sifted one after another, and the one-shot build is the
+single range [0, 2^b(k)).  The sweep relabels each class's lowest in-range
+member by the inverses of the k! permutations, listed in lexicographic
+order, which yields the class's canonical; when that member is not the
+canonical, the canonical is relabeled instead.  The r-th permutation undoes
+the r-th relabeling, so r keys its witness and the least r is the least
+witness: every range stores each member's least witness onto the canonical.
+The relabelings that fix a canonical are its automorphisms; node orbits are
+read off them the first time the sweep meets the class.  One relabeling by
+all k! permutations is a few table reads: the bit vector is cut into 4-bit
+chunks, and for each chunk and each of its 16 values a precomputed uint32
+row holds the OR of the images of its set bits under every permutation, so
+the k! images are the OR of one row per chunk.
 
 A build holds one uint64 slot per bit vector in one array: each range sifts
-into its slice of it, and the merge turns every slot into that vector's
-record in place, packing the witness through a table of k! entries.  So
-every build holds 8 bytes per entry (2 GiB at k=8), one-shot or
-partitioned; the ranges are sifted one after another in one process.
+into its slice of it, keying every slot by its class's index in the order
+the sweep met the classes, and one record pass (``_slots_to_records``)
+numbers the classes by their canonicals and turns every slot into that
+vector's record in place, packing the witness through a table of k!
+entries.  So every build holds 8 bytes per entry (2 GiB at k=8), one-shot
+or partitioned.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -56,17 +58,17 @@ from .core import (
 
 MAX_BUILD_K = 8          # 3-bit witness digits and the 14-bit id field cap builds and files at k=8
 _SCAN_CHUNK = 1 << 12    # entries compared per step of the unclaimed scan
-_RECORD_CHUNK = 1 << 16  # slots turned into records per step of the merge
+_RECORD_CHUNK = 1 << 16  # slots turned into records per step of the record pass
 _CHUNK_BITS = 4          # bit-vector bits per nibble-table row group of _perm_tables
 _CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 
-# Slot layout while a range is sifted, one u64 per bit vector: bits 0-15 the
-# index of its temporary canonical in the range, bits 16-31 the key of its
-# least witness, the witness's column in _perm_tables; all ones until a class
-# claims the vector.  The key is the high field, so the least slot a claim
-# offers an entry holds its least key.
-SLOT_TEMP_MASK = (1 << 16) - 1  # < 12,346 temporary canonicals per range even at k=8
-SLOT_KEY_SHIFT = 16             # columns are < 8! = 40,320 < 2^16
+# Slot layout while the build sifts, one u64 per bit vector: bits 0-15 the
+# index of its class in the order the sweep first met the classes, bits
+# 16-31 the key of its least witness, the witness's column in _perm_tables;
+# all ones until a class claims the vector.  The key is the high field, so
+# the least slot a claim offers an entry holds its least key.
+SLOT_CLASS_MASK = (1 << 16) - 1  # NC(8) = 12,346 classes < 2^16
+SLOT_KEY_SHIFT = 16              # columns are < 8! = 40,320 < 2^16
 _OPEN_SLOT = np.uint64(2**64 - 1)
 
 # Record layout, one little-endian u64 per bit vector: bits 0-13 canonical id,
@@ -151,28 +153,6 @@ class LookupTable:
         cids = (records & ID_MASK).astype(np.intp)
         images = (records[:, None] >> _WITNESS_SHIFTS[:self.k] & 7).astype(np.intp)
         return cids, images
-
-
-@dataclass
-class SiftPartition:
-    """Isomorphism classes of one contiguous bit-vector range [lo, hi).
-
-    temp_canonicals holds the lowest member of each class local to the range
-    and temp_minima the class's global canonical (the least of its k!
-    relabelings).  The range's slice of the slot array it was sifted into
-    packs at b - lo, in the slot layout above, the index of member b's temp
-    canonical and the least r such that _perm_tables' perms[r] sends b onto
-    the global canonical: the witness the table stores for b.  orbit_labels
-    (n, k) holds the label row of each temp canonical that is its own
-    minimum, in temp order.
-    """
-
-    k: int
-    lo: int
-    hi: int
-    temp_canonicals: np.ndarray
-    temp_minima: np.ndarray
-    orbit_labels: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -307,165 +287,84 @@ def _check_build_k(k: int) -> None:
 # the sweep
 
 
-def sift_partition(k: int, lo: int, hi: int, slots: np.ndarray) -> SiftPartition:
-    """Classify one contiguous range of bit vectors in isolation.
+def build_canonical_map(k: int, m: int = 1) -> tuple[CanonicalCatalog, LookupTable]:
+    """Sift m contiguous bit-vector ranges, one after another, into one slot
+    array, and turn it into the table's records.
 
-    The range is scanned in ascending order.  Each time the scan reaches a
-    bit vector t not yet claimed, t is the lowest in-range member of a new
-    class and becomes its temporary canonical.  All k! relabelings of t come
-    at once, each chunk of t's bits reading one row of _perm_tables' nibble
-    table; their least is the class's global canonical c.  If c differs
-    from t, c is relabeled instead, which yields the same class.  Each
-    relabeling inside [lo, hi) offers its slot the temp's index and its
-    column, the key of its witness, and the slot keeps the least offer: the
-    least witness onto c.  When t is c, node u's orbit label is u's least
-    image under the relabelings that fix t.
-
-    slots is the (hi - lo)-entry uint64 array to sift into: the range's
-    slice of the build's one slot array.
+    Output is identical for every m; m=1 is the one-shot build, and m > 1
+    cross-checks it.
     """
     _check_build_k(k)
+    if m < 1:
+        raise ValueError(f"range count must be >= 1, got {m}")
     size = 1 << bit_length(k)
-    if not (0 <= lo < hi <= size):
-        raise ValueError(f"empty or out-of-range partition [{lo}, {hi}) for k={k}")
-    span = hi - lo
-    if slots.shape != (span,) or slots.dtype != np.uint64:
-        raise ValueError(f"range [{lo}, {hi}) needs {span} uint64 slots, "
-                         f"got {slots.shape} {slots.dtype}")
-    slots.fill(_OPEN_SLOT)
+    check_memory(8 * size, f"a k={k} table build")
+    slots = np.full(size, _OPEN_SLOT, dtype=np.uint64)
+    return _slots_to_records(k, slots, *_sift(k, min(m, size), slots))
+
+
+def _sift(k: int, m: int, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Claim every slot for its class, range by range; return each class's
+    canonical and orbit label row, in the order the classes were met.
+
+    Each range is scanned in ascending order.  Each time the scan reaches a
+    bit vector t that no class has claimed in the range, all k! relabelings
+    of t come at once, each chunk of t's bits reading one row of
+    _perm_tables' nibble table; their least is the class's canonical c.  If
+    c differs from t (only in a range that starts above c), c is relabeled
+    instead, which yields the same class.  The first time any range meets a
+    class, the class gets the next index and its orbit labels: node u's
+    label is u's least image under the relabelings that fix c.  Each
+    relabeling inside the range offers its slot the class index and its
+    column, the key of its witness, and the slot keeps the least offer: the
+    least witness onto c.  The per-class Python objects die on return, before
+    the record pass allocates its temporaries.
+    """
     perms, _, nibbles = _perm_tables(k)
     key_hi = np.arange(len(perms), dtype=np.uint64) << np.uint64(SLOT_KEY_SHIFT)
-    temps: list[int] = []
-    minima: list[int] = []
+    class_of: dict[int, int] = {}  # canonical bits -> class index, in the order met
     labels: list[np.ndarray] = []
-
-    cursor = 0
-    while True:
-        cursor = _next_open(slots, cursor)
-        if cursor >= span:
-            break
-        bits = lo + cursor
-        images = _relabelings(nibbles, bits)
-        low = int(images.min())
-        if low == bits:
-            labels.append(perms[images == low].min(axis=0))
-        else:
-            images = _relabelings(nibbles, low)
-        inside = (images >= lo) & (images < hi)
-        np.minimum.at(slots, images[inside] - lo, key_hi[inside] | np.uint64(len(temps)))
-        temps.append(bits)
-        minima.append(low)
-        cursor += 1
-
-    return SiftPartition(
-        k=k,
-        lo=lo,
-        hi=hi,
-        temp_canonicals=np.array(temps, dtype=np.int64),
-        temp_minima=np.array(minima, dtype=np.int64),
-        orbit_labels=np.array(labels, dtype=np.uint8).reshape(-1, k),
-    )
+    bounds = [len(slots) * i // m for i in range(m + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = slots[lo:hi]
+        cursor = _next_open(part, 0)
+        while cursor < hi - lo:
+            bits = lo + cursor
+            images = _relabelings(nibbles, bits)
+            low = int(images.min())
+            if low != bits:
+                images = _relabelings(nibbles, low)
+            index = class_of.setdefault(low, len(class_of))
+            if index == len(labels):
+                labels.append(perms[images == low].min(axis=0))
+            inside = (images >= lo) & (images < hi)
+            np.minimum.at(part, images[inside] - lo, key_hi[inside] | np.uint64(index))
+            cursor = _next_open(part, cursor + 1)
+    minima = np.fromiter(class_of, dtype=np.int64, count=len(class_of))
+    return minima, np.array(labels, dtype=np.uint8)
 
 
-def _validate_tiling(parts: Sequence[SiftPartition]) -> list[SiftPartition]:
-    if not parts:
-        raise ValueError("no partitions to merge")
-    k = parts[0].k
-    ordered = sorted(parts, key=lambda p: p.lo)
-    size = 1 << bit_length(k)
-    expected = 0
-    for p in ordered:
-        if p.k != k:
-            raise ValueError(f"mixed k in partitions: {p.k} vs {k}")
-        if p.lo != expected:
-            raise ValueError(
-                f"partitions do not tile the space: gap/overlap at {expected} "
-                f"(next range starts at {p.lo})"
-            )
-        expected = p.hi
-    if expected != size:
-        raise ValueError(
-            f"partitions do not tile the space: cover [0, {expected}) of [0, {size})"
-        )
-    return ordered
-
-
-def merge_siftings(
-    parts: Sequence[SiftPartition], slots: np.ndarray
+def _slots_to_records(
+    k: int, slots: np.ndarray, minima: np.ndarray, labels: np.ndarray
 ) -> tuple[CanonicalCatalog, LookupTable]:
-    """Fuse per-range siftings into the global catalog and lookup table.
+    """Turn every sifted slot into its record, in place, and list the catalog.
 
-    slots is the one array of 2^b(k) entries that the parts were sifted
-    into, part p's slots being slots[p.lo:p.hi]; the merge takes it over and
-    turns it into the table's records in place.  The canonicals are the temp
-    canonicals that are their own minimum (the class's lowest member always
-    survives its own range).  Every range already holds each member's least
-    witness onto its global canonical, so the merge only assembles records:
-    canonical id and connected flag through the slot's temp index, witness
-    field through its key.  The parts' orbit label rows, concatenated in range
-    order, are the catalog's.
+    minima[i] is the canonical of class i and labels[i] its orbit label row.
+    One argsort puts the canonicals in ascending order, and a class's rank in
+    it is its canonical id.  A slot's record is the id and connected bits of
+    its class ORed with the witness field (_perm_tables) of its key.  Chunks
+    bound the temporaries.
     """
-    ordered = _validate_tiling(parts)
-    k = ordered[0].k
-    if slots.shape != (1 << bit_length(k),):
-        raise ValueError(f"k={k} slots need {1 << bit_length(k)} entries, got {slots.shape}")
-
-    temps = np.concatenate([p.temp_canonicals for p in ordered])
-    minima = np.concatenate([p.temp_minima for p in ordered])
-    # ranges are ascending and temps ascend within each range
-    canonicals = temps[minima == temps]
+    order = np.argsort(minima)
+    canonicals = minima[order]
     connected = np.array([is_connected(Graphette(k, int(c))) for c in canonicals], dtype=bool)
-    temp_cid = np.searchsorted(canonicals, minima)
-    temp_low = temp_cid.astype(np.uint64) | connected[temp_cid].astype(np.uint64) << CONNECTED_BIT
-
-    ends = np.cumsum([len(p.temp_canonicals) for p in ordered])
-    for part, part_low in zip(ordered, np.split(temp_low, ends[:-1])):
-        _slots_to_records(k, slots[part.lo:part.hi], part_low)
-
-    labels = np.concatenate([p.orbit_labels for p in ordered])
-    return CanonicalCatalog(k, canonicals, connected, labels), LookupTable(k, slots)
-
-
-def _slots_to_records(k: int, slots: np.ndarray, temp_low: np.ndarray) -> None:
-    """Turn each sifted slot of one range into its record, in place.
-
-    temp_low holds the id and connected bits of each temp canonical of the
-    range, and _perm_tables the witness field of each key.  Chunks bound the
-    temporaries.
-    """
+    class_low = np.empty(len(order), dtype=np.uint64)
+    class_low[order] = (np.arange(len(order), dtype=np.uint64)
+                        | connected.astype(np.uint64) << np.uint64(CONNECTED_BIT))
     witness_field = _perm_tables(k)[1]
     for start in range(0, len(slots), _RECORD_CHUNK):
         chunk = slots[start:start + _RECORD_CHUNK]
         claimed = chunk.view(np.int64)  # sifted slots are < 2^32; signed indexes gather faster
-        chunk[:] = temp_low[claimed & SLOT_TEMP_MASK] | witness_field[claimed >> SLOT_KEY_SHIFT]
-
-
-def partition_ranges(k: int, m: int) -> list[tuple[int, int]]:
-    """m contiguous near-equal ranges tiling [0, 2^b(k)); never empty."""
-    if m < 1:
-        raise ValueError(f"partition count must be >= 1, got {m}")
-    size = 1 << bit_length(k)
-    m = min(m, size)
-    bounds = [size * i // m for i in range(m + 1)]
-    return [(bounds[i], bounds[i + 1]) for i in range(m)]
-
-
-def build_canonical_map_parallel(k: int, m: int) -> tuple[CanonicalCatalog, LookupTable]:
-    """Sift m bit-vector ranges, one after another, and merge.
-
-    Every range sifts into its slice of one slot array, which the merge
-    turns into the record array.  Output is identical for every m; m=1 is
-    the one-shot build, and m > 1 cross-checks it.
-    """
-    _check_build_k(k)
-    ranges = partition_ranges(k, m)
-    size = 1 << bit_length(k)
-    check_memory(8 * size, f"a k={k} table build from {len(ranges)} ranges")
-    slots = np.empty(size, dtype=np.uint64)
-    parts = [sift_partition(k, lo, hi, slots[lo:hi]) for lo, hi in ranges]
-    return merge_siftings(parts, slots)
-
-
-def build_canonical_map_sequential(k: int) -> tuple[CanonicalCatalog, LookupTable]:
-    """The one-shot build: the whole bit-vector space as one sifted range."""
-    return build_canonical_map_parallel(k, 1)
+        chunk[:] = class_low[claimed & SLOT_CLASS_MASK] | witness_field[claimed >> SLOT_KEY_SHIFT]
+    catalog = CanonicalCatalog(k, canonicals, connected, labels[order])
+    return catalog, LookupTable(k, slots)

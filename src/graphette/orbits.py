@@ -6,7 +6,7 @@ minimum current color until stable.  Nodes sharing a final color form one
 orbit, and the color itself is the orbit's minimum node index.
 
 Table builds read their orbit labels off the automorphisms their own sweep
-finds (canon.sift_partition); this pipeline is the independent reference.
+finds (canon.build_canonical_map); this pipeline is the independent reference.
 """
 
 from __future__ import annotations

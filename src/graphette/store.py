@@ -24,21 +24,17 @@ import io
 import struct
 from dataclasses import dataclass
 from os import PathLike
-from typing import BinaryIO, Union
+from typing import BinaryIO, Sequence, Union
 
 import numpy as np
 
-# pack_record and unpack_record live beside the record layout in canon and
-# stay importable from here.
 from .canon import (
     CANONICAL_ID_BITS,
     MAX_BUILD_K,
     RECORD_DTYPE,
     CanonicalCatalog,
     LookupTable,
-    build_canonical_map_parallel,
-    pack_record,
-    unpack_record,
+    build_canonical_map,
 )
 from .core import Graphette, Permutation, bit_length, check_memory
 from .orbits import GlobalOrbitIndex, assign_global_orbit_ids
@@ -251,7 +247,14 @@ def _read_section(fh: BinaryIO, dtype: np.dtype, count: int, offset: int) -> np.
 
 @dataclass(frozen=True)
 class TableSet:
-    """Catalog + lookup table + orbit numbering for one k, as a unit."""
+    """Catalog + lookup table + orbit numbering for one k, as a unit.
+
+    query, identify (and so node_orbit) and identify_batch refuse, with
+    TableFileError, a record whose canonical id is not in the catalog or
+    whose witness sends a node past k - 1.  A witness that sends two nodes
+    to one image is caught only by query, where Permutation refuses it, and
+    by a whole-table check of every record (ROADMAP item 4).
+    """
 
     catalog: CanonicalCatalog
     table: LookupTable
@@ -268,7 +271,7 @@ class TableSet:
         # the ranges are always sifted in this process
         if workers != 1:
             raise ValueError(f"table builds run in one process; workers must be 1, got {workers}")
-        catalog, table = build_canonical_map_parallel(k, m)
+        catalog, table = build_canonical_map(k, m)
         return cls(catalog, table, assign_global_orbit_ids(catalog))
 
     @classmethod
@@ -282,7 +285,7 @@ class TableSet:
         """Record for g: (canonical id, witness onto the canonical, connected)."""
         if g.k != self.k:
             raise ValueError(f"graphette k={g.k} does not match table k={self.k}")
-        cid, connected, images = self.table.read(g.bits)
+        cid, connected, images = self._read(g.bits)
         return cid, Permutation(images), connected
 
     def node_orbit(self, g: Graphette, u: int) -> int:
@@ -295,7 +298,7 @@ class TableSet:
 
     def identify(self, bits: int) -> tuple[int, tuple[int, ...]]:
         """Canonical id plus the global orbit id at every node position."""
-        cid, _, images = self.table.read(bits)
+        cid, _, images = self._read(bits)
         row = self.orbits.node_ids[cid].tolist()
         return cid, tuple([row[pos] for pos in images])
 
@@ -307,5 +310,22 @@ class TableSet:
         gathered through the flat index cid * k + pos.
         """
         cids, pos = self.table.read_batch(bits)
-        pos += cids[:, None] * self.k
+        nc, k = len(self.catalog), self.k
+        if cids.max(initial=0) >= nc or pos.max(initial=0) >= k:
+            row = np.flatnonzero((cids >= nc) | (pos >= k).any(axis=1))[0]
+            raise self._corrupt(bits[row], cids[row], pos[row])
+        pos += cids[:, None] * k
         return cids, self.orbits.node_ids.reshape(-1)[pos]
+
+    def _read(self, bits: int) -> tuple[int, bool, tuple[int, ...]]:
+        """table.read(bits), refusing a record that points outside the table."""
+        cid, connected, images = self.table.read(bits)
+        if cid >= len(self.catalog) or max(images) >= self.k:
+            raise self._corrupt(bits, cid, images)
+        return cid, connected, images
+
+    def _corrupt(self, bits: int, cid: int, images: Sequence[int]) -> TableFileError:
+        return TableFileError(
+            f"corrupt record {int(bits)}: canonical id {int(cid)} (the catalog has "
+            f"{len(self.catalog)}), witness images {tuple(map(int, images))} (k={self.k})"
+        )

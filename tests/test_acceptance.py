@@ -13,13 +13,7 @@ import time
 import networkx as nx
 import numpy as np
 
-from graphette.canon import (
-    build_canonical_map_parallel,
-    build_canonical_map_sequential,
-    partition_ranges,
-    merge_siftings,
-    sift_partition,
-)
+from graphette.canon import build_canonical_map, pack_record, unpack_record
 from graphette.core import (
     Graphette,
     HostGraph,
@@ -48,8 +42,6 @@ from graphette.store import (
     HEADER_SIZE,
     TableSet,
     expected_file_size,
-    pack_record,
-    unpack_record,
 )
 
 NC_EXPECTED = [1, 2, 4, 11, 34, 156]
@@ -66,7 +58,7 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_canonical_counts():
     start = time.perf_counter()
-    counts = [len(build_canonical_map_sequential(k)[0]) for k in range(1, 7)]
+    counts = [len(build_canonical_map(k)[0]) for k in range(1, 7)]
     elapsed = time.perf_counter() - start
     ok = counts == NC_EXPECTED and elapsed < 300.0
     report("canonical counts k=1..6, <5min", ok,
@@ -77,7 +69,7 @@ def test_criterion_01_canonical_counts():
 
 def test_criterion_01_extended_k7_parallel():
     start = time.perf_counter()
-    catalog, _ = build_canonical_map_parallel(7, m=64)
+    catalog, _ = build_canonical_map(7, m=64)
     elapsed = time.perf_counter() - start
     ok = len(catalog) == NC_K7 and elapsed < 7200.0
     report("extended target k=7 via parallel sifting (m=64)", ok,
@@ -89,7 +81,7 @@ def test_criterion_01_extended_k7_parallel():
 def test_criterion_02_orbit_totals():
     totals = []
     for k in range(1, 7):
-        catalog, _ = build_canonical_map_sequential(k)
+        catalog, _ = build_canonical_map(k)
         compute_orbit_partitions(catalog)
         totals.append(assign_global_orbit_ids(catalog).total_orbits)
     ok = totals == ORBITS_EXPECTED
@@ -98,7 +90,7 @@ def test_criterion_02_orbit_totals():
 
 
 def test_criterion_02_extended_k7_orbits():
-    catalog, _ = build_canonical_map_sequential(7)
+    catalog, _ = build_canonical_map(7)
     compute_orbit_partitions(catalog)
     total = assign_global_orbit_ids(catalog).total_orbits
     ok = total == ORBITS_K7
@@ -140,7 +132,7 @@ def test_criterion_03_connected_canonicals():
     got_catalog = {}
     got_census = {}
     for k in (3, 4, 5):
-        catalog, _ = build_canonical_map_sequential(k)
+        catalog, _ = build_canonical_map(k)
         got_catalog[k] = int(catalog.connected.sum())
         got_census[k] = census_connected_classes(k)
     ok = got_catalog == CONNECTED_EXPECTED and got_census == CONNECTED_EXPECTED
@@ -156,9 +148,7 @@ def test_criterion_04_parallel_sequential_byte_identity():
     reference.save(ref_buf)
     identical = {}
     for m in (1, 2, 4, 16):
-        slots = np.empty(1 << bit_length(5), dtype=np.uint64)
-        parts = [sift_partition(5, lo, hi, slots[lo:hi]) for lo, hi in partition_ranges(5, m)]
-        catalog, table = merge_siftings(parts, slots)
+        catalog, table = build_canonical_map(5, m)
         compute_orbit_partitions(catalog)
         buf = io.BytesIO()
         TableSet(catalog, table, assign_global_orbit_ids(catalog)).save(buf)
@@ -222,7 +212,7 @@ def petersen() -> Graphette:
 def test_criterion_06_orbit_oracle_and_group_sizes():
     mismatches = 0
     for k in range(1, 7):
-        catalog, _ = build_canonical_map_sequential(k)
+        catalog, _ = build_canonical_map(k)
         for cid in range(len(catalog)):
             g = catalog.graphette(cid)
             auts = generate_automorphisms(g)

@@ -6,17 +6,11 @@ import numpy as np
 import pytest
 
 from graphette.canon import (
-    SLOT_KEY_SHIFT,
-    SLOT_TEMP_MASK,
     _perm_tables,
     _relabelings,
     are_isomorphic,
-    build_canonical_map_parallel,
-    build_canonical_map_sequential,
-    merge_siftings,
+    build_canonical_map,
     pack_record,
-    partition_ranges,
-    sift_partition,
 )
 from graphette.core import (
     Graphette,
@@ -92,28 +86,28 @@ def test_are_isomorphic_symmetric_and_witnesses_verify():
                 assert apply_permutation(h, w_hg) == g
 
 
-# --- sequential builder ------------------------------------------------------
+# --- one-shot build -----------------------------------------------------------
 
 
 @pytest.mark.parametrize("k,expected", sorted(NC_BY_K.items()))
 def test_canonical_counts(k, expected):
-    catalog, _ = build_canonical_map_sequential(k)
+    catalog, _ = build_canonical_map(k)
     assert len(catalog) == expected
 
 
 def test_k3_catalog_members():
-    catalog, _ = build_canonical_map_sequential(3)
+    catalog, _ = build_canonical_map(3)
     assert catalog.canonicals.tolist() == [0, 1, 3, 7]
 
 
 def test_k5_connected_count():
-    catalog, _ = build_canonical_map_sequential(5)
+    catalog, _ = build_canonical_map(5)
     assert int(catalog.connected.sum()) == 21
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_catalog_matches_bruteforce_oracle(k):
-    catalog, table = build_canonical_map_sequential(k)
+    catalog, table = build_canonical_map(k)
     expected = sorted({oracle_canonical_bits(k, b) for b in range(1 << bit_length(k))})
     assert catalog.canonicals.tolist() == expected
     for bits in range(1 << bit_length(k)):
@@ -123,7 +117,7 @@ def test_catalog_matches_bruteforce_oracle(k):
 
 def test_catalog_shape_invariants():
     for k in range(1, 7):
-        catalog, _ = build_canonical_map_sequential(k)
+        catalog, _ = build_canonical_map(k)
         arr = catalog.canonicals
         assert arr[0] == 0
         assert (np.diff(arr) > 0).all()
@@ -131,7 +125,7 @@ def test_catalog_shape_invariants():
 
 def test_canonical_idempotence_and_identity_witness():
     for k in range(1, 6):
-        catalog, table = build_canonical_map_sequential(k)
+        catalog, table = build_canonical_map(k)
         for cid in range(len(catalog)):
             bits = int(catalog.canonicals[cid])
             assert int(table.read(bits)[0]) == cid
@@ -140,7 +134,7 @@ def test_canonical_idempotence_and_identity_witness():
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_witness_validity_exhaustive(k):
-    catalog, table = build_canonical_map_sequential(k)
+    catalog, table = build_canonical_map(k)
     for bits in range(1 << bit_length(k)):
         w = Permutation(table.read(bits)[2])
         out = apply_permutation(Graphette(k, bits), w)
@@ -148,7 +142,7 @@ def test_witness_validity_exhaustive(k):
 
 
 def test_witness_validity_sampled_k6():
-    catalog, table = build_canonical_map_sequential(6)
+    catalog, table = build_canonical_map(6)
     rng = random.Random(43)
     for _ in range(2000):
         bits = rng.randrange(1 << bit_length(6))
@@ -159,13 +153,13 @@ def test_witness_validity_sampled_k6():
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_minimality(k):
-    catalog, table = build_canonical_map_sequential(k)
+    catalog, table = build_canonical_map(k)
     for bits in range(1 << bit_length(k)):
         assert int(catalog.canonicals[table.read(bits)[0]]) <= bits
 
 
 def test_connected_flags_match_canonical():
-    catalog, table = build_canonical_map_sequential(4)
+    catalog, table = build_canonical_map(4)
     for bits in range(1 << bit_length(4)):
         assert bool(table.read(bits)[1]) == bool(catalog.connected[table.read(bits)[0]])
 
@@ -173,12 +167,12 @@ def test_connected_flags_match_canonical():
 def test_lookup_invariant_under_permutation():
     rng = random.Random(47)
     for k in (3, 4):
-        _, table = build_canonical_map_sequential(k)
+        _, table = build_canonical_map(k)
         for bits in range(1 << bit_length(k)):
             for order in itertools.permutations(range(k)):
                 image = apply_permutation(Graphette(k, bits), Permutation(order))
                 assert table.read(image.bits)[0] == table.read(bits)[0]
-    _, table5 = build_canonical_map_sequential(5)
+    _, table5 = build_canonical_map(5)
     for _ in range(2000):
         bits = rng.randrange(1 << 10)
         image = apply_permutation(Graphette(5, bits), random_permutation(rng, 5))
@@ -186,7 +180,7 @@ def test_lookup_invariant_under_permutation():
 
 
 def test_lookup_invariance_spot_checks_k7():
-    catalog, table = build_canonical_map_sequential(7)
+    catalog, table = build_canonical_map(7)
     assert len(catalog) == 1044
     canonical_id = table.read_batch(np.arange(len(table)))[0]
     rng = random.Random(73)
@@ -202,52 +196,12 @@ def test_lookup_invariance_spot_checks_k7():
 
 def test_sequential_k_bounds():
     with pytest.raises(ValueError):
-        build_canonical_map_sequential(0)
+        build_canonical_map(0)
     with pytest.raises(ValueError):
-        build_canonical_map_sequential(9)
+        build_canonical_map(9)
 
 
-# --- sifting -----------------------------------------------------------------
-
-
-def sift_ranges(k, ranges):
-    """Sift each (lo, hi) range into its slice of one k-wide slot array."""
-    slots = np.empty(1 << bit_length(k), dtype=np.uint64)
-    return [sift_partition(k, lo, hi, slots[lo:hi]) for lo, hi in ranges], slots
-
-
-def test_sift_single_partition_equals_sequential_catalog():
-    catalog, _ = build_canonical_map_sequential(4)
-    [part], _ = sift_ranges(4, [(0, 1 << bit_length(4))])
-    assert part.temp_canonicals.tolist() == catalog.canonicals.tolist()
-
-
-def test_sift_k3_upper_half():
-    [part], slots = sift_ranges(3, [(4, 8)])
-    assert part.temp_canonicals.tolist() == [4, 5, 7]
-    tc_index = slots[4:8] & SLOT_TEMP_MASK
-    # member 6 maps to temp canonical 5
-    assert part.temp_canonicals[tc_index[6 - 4]] == 5
-    # temp canonicals map to themselves
-    for tid, temp in enumerate(part.temp_canonicals.tolist()):
-        assert tc_index[temp - 4] == tid
-
-
-@pytest.mark.parametrize("k, lo, hi", [(4, 16, 64), (5, 300, 700)])
-def test_sift_witnesses_point_at_global_canonicals(k, lo, hi):
-    [part], slots = sift_ranges(k, [(lo, hi)])
-    # the range starts mid-space, so some temps are not canonicals
-    assert (part.temp_minima != part.temp_canonicals).any()
-    tc_index = slots[lo:hi] & SLOT_TEMP_MASK
-    witness_key = slots[lo:hi] >> SLOT_KEY_SHIFT
-    perms = _perm_tables(k)[0]
-    for b in range(lo, hi):
-        witness = Permutation(tuple(perms[witness_key[b - lo]].tolist()))
-        canonical = int(part.temp_minima[tc_index[b - lo]])
-        assert apply_permutation(Graphette(k, b), witness).bits == canonical
-    for temp, low in zip(part.temp_canonicals.tolist(), part.temp_minima.tolist()):
-        if temp == low:
-            assert witness_key[temp - lo] == 0  # the identity, perms[0]
+# --- permutation tables ------------------------------------------------------
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -315,54 +269,41 @@ def test_witness_field_is_the_packed_record_witness(k):
         assert int(witness_field[r]) == pack_record(0, False, packed)
 
 
-def test_sift_rejects_empty_range():
-    with pytest.raises(ValueError):
-        sift_ranges(3, [(4, 4)])
-    with pytest.raises(ValueError):
-        sift_ranges(3, [(0, 9)])
+# --- partitioned builds ------------------------------------------------------
 
 
-def test_merge_single_partition_equals_sequential():
-    cat_s, tab_s = build_canonical_map_sequential(4)
-    cat_m, tab_m = merge_siftings(*sift_ranges(4, [(0, 64)]))
-    assert cat_m.canonicals.tolist() == cat_s.canonicals.tolist()
-    assert np.array_equal(tab_m.records, tab_s.records)
+@pytest.mark.parametrize("k, m", [(4, 3), (5, 5)])
+def test_sift_witnesses_point_at_global_canonicals(k, m):
+    # every range but the first starts mid-space, where its lowest member of
+    # a class need not be the class's canonical
+    catalog, table = build_canonical_map(k, m)
+    for b in range(1 << bit_length(k)):
+        cid, _, images = table.read(b)
+        witness = Permutation(images)
+        assert apply_permutation(Graphette(k, b), witness).bits == int(catalog.canonicals[cid])
+    for cid, canonical in enumerate(catalog.canonicals.tolist()):
+        assert table.read(canonical)[2] == tuple(range(k))  # the least witness: the identity
 
 
 @pytest.mark.parametrize("m", [2, 4, 16])
 def test_merge_matches_sequential_k5(m):
-    cat_s, tab_s = build_canonical_map_sequential(5)
-    cat_m, tab_m = merge_siftings(*sift_ranges(5, partition_ranges(5, m)))
+    cat_s, tab_s = build_canonical_map(5)
+    cat_m, tab_m = build_canonical_map(5, m)
     assert cat_m.canonicals.tolist() == cat_s.canonicals.tolist()
     assert cat_m.connected.tolist() == cat_s.connected.tolist()
     assert np.array_equal(tab_m.records, tab_s.records)
 
 
 def test_merge_witnesses_verify():
-    catalog, table = merge_siftings(*sift_ranges(4, partition_ranges(4, 8)))
+    catalog, table = build_canonical_map(4, 8)
     for bits in range(64):
         w = Permutation(table.read(bits)[2])
         out = apply_permutation(Graphette(4, bits), w)
         assert out.bits == int(catalog.canonicals[table.read(bits)[0]])
 
 
-def test_merge_rejects_non_tiling():
-    with pytest.raises(ValueError):
-        merge_siftings(*sift_ranges(3, [(0, 4)]))  # gap at the top
-    with pytest.raises(ValueError):
-        merge_siftings(*sift_ranges(3, [(0, 4), (5, 8)]))
-    parts3, slots3 = sift_ranges(3, [(0, 8)])
-    with pytest.raises(ValueError):
-        merge_siftings(parts3 + sift_ranges(4, [(0, 64)])[0], slots3)
-    with pytest.raises(ValueError):
-        merge_siftings([], slots3)
-
-
-# --- parallel builder --------------------------------------------------------
-
-
 def test_parallel_k6_m16():
-    catalog, _ = build_canonical_map_parallel(6, 16)
+    catalog, _ = build_canonical_map(6, 16)
     assert len(catalog) == 156
 
 
@@ -370,9 +311,9 @@ def test_parallel_k6_m16():
 def test_every_partitioning_gives_the_one_shot_records(step):
     # step 1 tiles the 64-entry space into equal ranges; step 2 takes the
     # next count up, whose ranges differ in size
-    ref_cat, ref_tab = build_canonical_map_sequential(6)
+    ref_cat, ref_tab = build_canonical_map(6)
     for m in (2, 4, 16, 64):
-        catalog, table = build_canonical_map_parallel(6, m + step - 1)
+        catalog, table = build_canonical_map(6, m + step - 1)
         assert np.array_equal(table.records, ref_tab.records)
         assert np.array_equal(catalog.orbit_labels, ref_cat.orbit_labels)
 
@@ -383,28 +324,21 @@ def test_partitioned_build_holds_one_slot_array():
     k, entries = 7, 1 << bit_length(7)
     tracemalloc.start()
     try:
-        build_canonical_map_parallel(k, 8)
+        build_canonical_map(k, 8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 12 * entries
 
 
-def test_merge_refuses_a_slot_array_of_the_wrong_size():
-    with pytest.raises(ValueError, match="64 entries"):
-        merge_siftings(sift_ranges(4, [(0, 64)])[0], np.zeros(32, dtype=np.uint64))
-    with pytest.raises(ValueError, match="4 uint64 slots"):
-        sift_partition(3, 4, 8, np.zeros(8, dtype=np.uint64))
-
-
 def test_parallel_m_larger_than_space():
-    catalog, table = build_canonical_map_parallel(2, 100)
+    catalog, table = build_canonical_map(2, 100)
     assert len(catalog) == 2
     assert len(table) == 2
 
 
 def test_parallel_rejects_bad_args():
     with pytest.raises(ValueError):
-        build_canonical_map_parallel(4, 0)
+        build_canonical_map(4, 0)
     with pytest.raises(ValueError):
-        build_canonical_map_parallel(9, 4)
+        build_canonical_map(9, 4)

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from graphette.canon import ID_MASK, WITNESS_SHIFT
 from graphette.cli import EXIT_BOUND, EXIT_FORMAT, EXIT_IO, EXIT_OK, main
 
 
@@ -113,6 +114,11 @@ def test_query_edge_literal(k3_table, capsys):
     assert fields["canonical_id"] == "2"
 
 
+def test_query_rejects_a_bad_edge_literal(k3_table, capsys):
+    assert main(["query", "--table", str(k3_table), "--edges", "0-1-2"]) == EXIT_FORMAT
+    assert "expected 'u-v'" in capsys.readouterr().err
+
+
 def test_query_noncanonical_witness_is_not_identity(k3_table, capsys):
     assert main(["query", "--table", str(k3_table), "--bits", "2"]) == EXIT_OK
     fields = dict(p.split("=", 1) for p in capsys.readouterr().out.strip().split("\t"))
@@ -124,6 +130,28 @@ def test_query_corrupt_table(tmp_path, capsys):
     bad = tmp_path / "bad.table"
     bad.write_bytes(b"NOTATABLE!" * 10)
     assert main(["query", "--table", str(bad), "--bits", "0"]) == EXIT_FORMAT
+
+
+# record 63 of a k=4 table is K4's: every 4-set of K5 reads it
+CORRUPT_K4_RECORD_63 = {
+    "canonical-id": lambda record: record & ~ID_MASK | 11,  # NC = 11 at k=4
+    "witness": lambda record: record | 7 << WITNESS_SHIFT,  # node 0 sent to 7 > k - 1
+}
+
+
+@pytest.mark.parametrize("command", ["query", "sample", "enumerate"])
+@pytest.mark.parametrize("field", sorted(CORRUPT_K4_RECORD_63))
+def test_corrupt_record_exits_4(k4_table, tmp_path, capsys, field, command):
+    blob = bytearray(k4_table.read_bytes())
+    record = int.from_bytes(blob[-8:], "little")  # the last of the 64 records
+    blob[-8:] = CORRUPT_K4_RECORD_63[field](record).to_bytes(8, "little")
+    table = tmp_path / "bad.table"
+    table.write_bytes(blob)
+    graph = write_graph(tmp_path, "k5.txt", K5_EDGES)
+    args = {"query": ["--bits", "63"], "sample": ["--graph", str(graph), "-N", "20"],
+            "enumerate": ["--graph", str(graph)]}[command]
+    assert main([command, "--table", str(table), *args]) == EXIT_FORMAT
+    assert "corrupt record 63" in capsys.readouterr().err
 
 
 def test_query_missing_table(tmp_path):

@@ -59,6 +59,14 @@ def test_decode_examples():
     assert decode(Graphette(3, 4)) == {(2, 1)}
 
 
+def test_graphette_has_edge():
+    g = Graphette(3, 4)  # edge {2, 1}
+    assert g.has_edge(2, 1) and g.has_edge(1, 2)
+    assert not g.has_edge(0, 1) and not g.has_edge(2, 0)
+    with pytest.raises(ValueError, match="self-loop"):
+        g.has_edge(1, 1)
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_roundtrip_exhaustive(k):
     for bits in range(1 << bit_length(k)):
@@ -247,6 +255,8 @@ def test_host_graph_rejects_self_loops_and_bad_labels():
         HostGraph(3, [(1, 1)])
     with pytest.raises(ValueError):
         HostGraph(3, [(0, 3)])
+    with pytest.raises(ValueError, match="names length"):
+        HostGraph(3, [(0, 1)], names=["a", "b"])
 
 
 def test_host_graph_refuses_labels_beyond_int32():

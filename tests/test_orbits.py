@@ -5,11 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from graphette.canon import (
-    CanonicalCatalog,
-    build_canonical_map_parallel,
-    build_canonical_map_sequential,
-)
+from graphette.canon import CanonicalCatalog, build_canonical_map
 from graphette.core import (
     Graphette,
     Permutation,
@@ -82,7 +78,7 @@ def test_petersen_has_120_automorphisms():
 
 def test_every_automorphism_fixes_g():
     for k in range(1, 7):
-        catalog, _ = build_canonical_map_sequential(k)
+        catalog, _ = build_canonical_map(k)
         for cid in range(len(catalog)):
             g = catalog.graphette(cid)
             for p in generate_automorphisms(g).perms:
@@ -91,7 +87,7 @@ def test_every_automorphism_fixes_g():
 
 def test_group_axioms_over_canonicals():
     for k in range(1, 7):
-        catalog, _ = build_canonical_map_sequential(k)
+        catalog, _ = build_canonical_map(k)
         for cid in range(len(catalog)):
             auts = generate_automorphisms(catalog.graphette(cid))
             members = {p.mapping for p in auts.perms}
@@ -198,7 +194,7 @@ def test_enumerate_orbits_rejects_mismatched_auts():
 
 def test_orbit_labels_are_minima_and_partition():
     for k in range(1, 7):
-        catalog, _ = build_canonical_map_sequential(k)
+        catalog, _ = build_canonical_map(k)
         for cid in range(len(catalog)):
             part = orbit_partition(catalog.graphette(cid))
             for u, label in enumerate(part.orbit_of):
@@ -209,7 +205,7 @@ def test_orbit_labels_are_minima_and_partition():
 
 def test_orbits_invariant_under_every_automorphism():
     for k in range(2, 7):
-        catalog, _ = build_canonical_map_sequential(k)
+        catalog, _ = build_canonical_map(k)
         for cid in range(len(catalog)):
             g = catalog.graphette(cid)
             auts = generate_automorphisms(g)
@@ -221,7 +217,7 @@ def test_orbits_invariant_under_every_automorphism():
 
 def test_each_cycle_lies_in_one_orbit():
     for k in range(2, 6):
-        catalog, _ = build_canonical_map_sequential(k)
+        catalog, _ = build_canonical_map(k)
         for cid in range(len(catalog)):
             g = catalog.graphette(cid)
             auts = generate_automorphisms(g)
@@ -234,7 +230,7 @@ def test_each_cycle_lies_in_one_orbit():
 
 def test_orbits_match_reachability_oracle():
     for k in range(1, 7):
-        catalog, _ = build_canonical_map_sequential(k)
+        catalog, _ = build_canonical_map(k)
         for cid in range(len(catalog)):
             g = catalog.graphette(cid)
             auts = generate_automorphisms(g)
@@ -252,7 +248,7 @@ def test_orbits_invariant_under_complement():
 def test_builder_orbit_labels_match_orbit_partition(k, m):
     # the builder reads orbits off the sweep's automorphisms; orbit_partition
     # backtracks over the automorphism group independently
-    catalog, _ = build_canonical_map_parallel(k, m)
+    catalog, _ = build_canonical_map(k, m)
     assert catalog.orbit_labels.shape == (len(catalog), k)
     assert catalog.orbit_labels.dtype == np.uint8
     for cid, labels in enumerate(catalog.orbit_labels.tolist()):
@@ -264,14 +260,14 @@ def test_builder_orbit_labels_match_orbit_partition(k, m):
 
 def test_global_orbit_totals():
     for k, expected in sorted(ORBIT_TOTALS.items()):
-        catalog, _ = build_canonical_map_sequential(k)
+        catalog, _ = build_canonical_map(k)
         compute_orbit_partitions(catalog)
         index = assign_global_orbit_ids(catalog)
         assert index.total_orbits == expected
 
 
 def test_k3_orbit_breakdown():
-    catalog, _ = build_canonical_map_sequential(3)
+    catalog, _ = build_canonical_map(3)
     compute_orbit_partitions(catalog)
     counts = [len(set(labels)) for labels in catalog.orbit_labels]
     assert counts == [1, 2, 2, 1]
@@ -281,7 +277,7 @@ def test_k3_orbit_breakdown():
 
 
 def test_global_ids_consecutive():
-    catalog, _ = build_canonical_map_sequential(5)
+    catalog, _ = build_canonical_map(5)
     compute_orbit_partitions(catalog)
     index = assign_global_orbit_ids(catalog)
     seen = []
@@ -292,7 +288,7 @@ def test_global_ids_consecutive():
 
 
 def test_assign_requires_partitions():
-    built, _ = build_canonical_map_sequential(3)
+    built, _ = build_canonical_map(3)
     catalog = CanonicalCatalog(3, built.canonicals, built.connected, built.orbit_labels[:-1])
     with pytest.raises(ValueError, match="orbit labels"):  # one label row too few
         assign_global_orbit_ids(catalog)

@@ -234,6 +234,11 @@ def test_enumerate_bound(tables3):
         exhaustive_enumerate(host, tables3, bound=100)
 
 
+def test_enumerate_needs_k_nodes(tables4):
+    with pytest.raises(ValueError, match="3 nodes, cannot enumerate k=4"):
+        exhaustive_enumerate(complete_host(3), tables4)
+
+
 # --- estimates and reports ---------------------------------------------------
 
 
@@ -455,6 +460,11 @@ def test_sample_distribution_edge_expansion_needs_an_edge(tables3):
     with pytest.raises(ValueError, match="at least one edge"):
         sample_distribution(HostGraph(6, []), tables3, 10,
                             strategy=SamplingStrategy.EDGE_EXPANSION, seed=26)
+
+
+def test_sample_distribution_needs_a_sample(tables3):
+    with pytest.raises(ValueError, match="at least one sample"):
+        sample_distribution(complete_host(4), tables3, 0)
 
 
 # --- report layout -------------------------------------------------------------

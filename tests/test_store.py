@@ -7,8 +7,9 @@ import random
 import numpy as np
 import pytest
 
+from graphette.canon import CanonicalCatalog, LookupTable, pack_record, unpack_record
 from graphette.core import Graphette, Permutation, apply_permutation, bit_length
-from graphette.orbits import orbit_partition
+from graphette.orbits import GlobalOrbitIndex, orbit_partition
 from graphette.store import (
     BadMagicError,
     CANONICAL_ID_BITS,
@@ -16,15 +17,14 @@ from graphette.store import (
     HeaderFieldError,
     LayoutMismatchError,
     LengthMismatchError,
+    TableFileError,
     TableSet,
     TruncatedFileError,
     VersionMismatchError,
     catalog_entry_size,
     deserialize,
     expected_file_size,
-    pack_record,
     serialize,
-    unpack_record,
 )
 
 
@@ -280,6 +280,20 @@ def test_trailing_bytes(tables3):
 def test_serialize_rejects_inconsistent_inputs(tables3, tables4):
     with pytest.raises(ValueError):
         serialize(tables3.catalog, tables4.table, tables3.orbits, io.BytesIO())
+    catalog, table, orbits = tables3.catalog, tables3.table, tables3.orbits
+    k9 = CanonicalCatalog(9, catalog.canonicals, catalog.connected, np.zeros((4, 9)))
+    with pytest.raises(ValueError, match="k in 1..8"):
+        serialize(k9, table, orbits, io.BytesIO())
+    with pytest.raises(ValueError, match="4 records, expected 8"):
+        serialize(catalog, LookupTable(3, table.records[:4]), orbits, io.BytesIO())
+    short = GlobalOrbitIndex(3, orbits.bases[:3], orbits.total_orbits, orbits.node_ids[:3])
+    with pytest.raises(ValueError, match="orbit index does not cover"):
+        serialize(catalog, table, short, io.BytesIO())
+    nc = (1 << CANONICAL_ID_BITS) + 1
+    wide = CanonicalCatalog(3, np.zeros(nc, np.int64), np.zeros(nc, bool), np.zeros((nc, 3)))
+    wide_orbits = GlobalOrbitIndex(3, np.zeros(nc, np.int64), nc, np.zeros((nc, 3), np.int64))
+    with pytest.raises(ValueError, match="14-bit id field"):
+        serialize(wide, table, wide_orbits, io.BytesIO())
     stripped = TableSet.build(3)
     stripped.catalog.orbit_labels = np.zeros((len(stripped.catalog), 4), dtype=np.uint8)
     with pytest.raises(ValueError, match="orbit partitions"):  # one label column too many
@@ -393,3 +407,21 @@ def test_identify_rejects_bits_out_of_range(tables3, bits):
 def test_read_rejects_bits_out_of_range(tables3, bits):
     with pytest.raises(ValueError, match="out of range"):
         tables3.table.read(bits)
+
+
+@pytest.mark.parametrize("bits, corrupt", [
+    (63, lambda cid, connected, w: (13, connected, w)),     # NC = 11 at k=4
+    (1, lambda cid, connected, w: (cid, connected, w | 7)),  # node 0 sent to 7 > k - 1
+], ids=["canonical-id", "witness"])
+def test_reads_refuse_a_record_outside_the_table(tables4, bits, corrupt):
+    records = tables4.table.records.copy()
+    records[bits] = pack_record(*corrupt(*unpack_record(int(records[bits]))))
+    tables = TableSet(tables4.catalog, LookupTable(4, records), tables4.orbits)
+    reads = [lambda: tables.query(Graphette(4, bits)), lambda: tables.identify(bits),
+             lambda: tables.node_orbit(Graphette(4, bits), 0),
+             lambda: tables.identify_batch(np.array([0, bits, 2]))]
+    for read in reads:
+        with pytest.raises(TableFileError, match=f"corrupt record {bits}:"):
+            read()
+    good = np.array([0, 2, 62])
+    assert np.array_equal(tables.identify_batch(good)[1], tables4.identify_batch(good)[1])
