@@ -13,26 +13,27 @@ identity is lexicographically least inside any permutation group.
 
 Every build is one sweep (``build_canonical_map``): m contiguous ranges of
 bit vectors are sifted one after another, and the one-shot build is the
-single range [0, 2^b(k)).  The sweep relabels each class's lowest in-range
-member by the inverses of the k! permutations, listed in lexicographic
-order, which yields the class's canonical; when that member is not the
-canonical, the canonical is relabeled instead.  The r-th permutation undoes
-the r-th relabeling, so r keys its witness and the least r is the least
-witness: every range stores each member's least witness onto the canonical.
-The relabelings that fix a canonical are its automorphisms; node orbits are
-read off them the first time the sweep meets the class.  One relabeling by
-all k! permutations is a few table reads: the bit vector is cut into 4-bit
-chunks, and for each chunk and each of its 16 values a precomputed uint32
-row holds the OR of the images of its set bits under every permutation, so
-the k! images are the OR of one row per chunk.
+single range [0, 2^b(k)).  A range first takes its members of every class
+met in earlier ranges; every vector its scan then finds open is a new
+canonical, since a class whose canonical lies in the range is first met at
+that canonical, its least member.  So classes are met in ascending order of
+canonical, and a class's id is the number met before it.  A canonical is
+relabeled by the inverses of the k! permutations, listed in lexicographic
+order; the r-th permutation undoes the r-th relabeling, so r keys its
+witness and the least r is the least witness onto the canonical.  The
+relabelings that fix a canonical are its automorphisms, and node orbits are
+read off them.  One relabeling by all k! permutations is a few table reads:
+the bit vector is cut into 4-bit chunks, and for each chunk and each of its
+16 values a precomputed uint32 row holds the OR of the images of its set
+bits under every permutation, so the k! images are the OR of one row per
+chunk.
 
 A build holds one uint64 slot per bit vector in one array: each range sifts
-into its slice of it, keying every slot by its class's index in the order
-the sweep met the classes, and one record pass (``_slots_to_records``)
-numbers the classes by their canonicals and turns every slot into that
-vector's record in place, packing the witness through a table of k!
-entries.  So every build holds 8 bytes per entry (2 GiB at k=8), one-shot
-or partitioned.
+into its slice of it, giving every slot the low half of its record
+(canonical id and connected flag) and the key of its least witness, and one
+record pass (``_slots_to_records``) swaps each key for the packed witness,
+through a table of k! entries, in place.  So every build holds 8 bytes per
+entry (2 GiB at k=8), one-shot or partitioned.
 """
 
 from __future__ import annotations
@@ -63,11 +64,10 @@ _CHUNK_BITS = 4          # bit-vector bits per nibble-table row group of _perm_t
 _CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 
 # Slot layout while the build sifts, one u64 per bit vector: bits 0-15 the
-# index of its class in the order the sweep first met the classes, bits
-# 16-31 the key of its least witness, the witness's column in _perm_tables;
-# all ones until a class claims the vector.  The key is the high field, so
-# the least slot a claim offers an entry holds its least key.
-SLOT_CLASS_MASK = (1 << 16) - 1  # NC(8) = 12,346 classes < 2^16
+# record's low 16 bits (canonical id in bits 0-13, connected flag in bit
+# 14), bits 16-31 the key of its least witness, the witness's column in
+# _perm_tables; all ones until a class claims the vector.  The key is the
+# high field, so the least slot a claim offers an entry holds its least key.
 SLOT_KEY_SHIFT = 16              # columns are < 8! = 40,320 < 2^16
 _OPEN_SLOT = np.uint64(2**64 - 1)
 
@@ -148,7 +148,11 @@ class LookupTable:
         return cid, connected, tuple([w >> 3 * u & 7 for u in range(self.k)])
 
     def read_batch(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Canonical ids (B,) and witness images (B, k), as intp, of B bit vectors."""
+        """Canonical ids (B,) and witness images (B, k), as intp, of B bit
+        vectors; like read, raises ValueError for one outside the table."""
+        low, high = bits.min(initial=0), bits.max(initial=0)
+        if low < 0 or high >= len(self.records):
+            raise ValueError(f"bits {low if low < 0 else high} out of range for k={self.k}")
         records = self.records[bits]
         cids = (records & ID_MASK).astype(np.intp)
         images = (records[:, None] >> _WITNESS_SHIFTS[:self.k] & 7).astype(np.intp)
@@ -292,7 +296,8 @@ def build_canonical_map(k: int, m: int = 1) -> tuple[CanonicalCatalog, LookupTab
     array, and turn it into the table's records.
 
     Output is identical for every m; m=1 is the one-shot build, and m > 1
-    cross-checks it.
+    cross-checks it.  Each range relabels every class met before it, so
+    build time grows with m.
     """
     _check_build_k(k)
     if m < 1:
@@ -300,71 +305,65 @@ def build_canonical_map(k: int, m: int = 1) -> tuple[CanonicalCatalog, LookupTab
     size = 1 << bit_length(k)
     check_memory(8 * size, f"a k={k} table build")
     slots = np.full(size, _OPEN_SLOT, dtype=np.uint64)
-    return _slots_to_records(k, slots, *_sift(k, min(m, size), slots))
+    catalog = _sift(k, min(m, size), slots)
+    return catalog, _slots_to_records(k, slots)
 
 
-def _sift(k: int, m: int, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Claim every slot for its class, range by range; return each class's
-    canonical and orbit label row, in the order the classes were met.
+def _sift(k: int, m: int, slots: np.ndarray) -> CanonicalCatalog:
+    """Claim every slot for its class, range by range, and list the classes.
 
-    Each range is scanned in ascending order.  Each time the scan reaches a
-    bit vector t that no class has claimed in the range, all k! relabelings
-    of t come at once, each chunk of t's bits reading one row of
-    _perm_tables' nibble table; their least is the class's canonical c.  If
-    c differs from t (only in a range that starts above c), c is relabeled
-    instead, which yields the same class.  The first time any range meets a
-    class, the class gets the next index and its orbit labels: node u's
-    label is u's least image under the relabelings that fix c.  Each
-    relabeling inside the range offers its slot the class index and its
-    column, the key of its witness, and the slot keeps the least offer: the
-    least witness onto c.  The per-class Python objects die on return, before
-    the record pass allocates its temporaries.
+    A range first claims, for every class met in earlier ranges, the
+    relabelings of its canonical inside the range.  Its ascending scan then
+    takes each bit vector c that is still open as a new canonical (module
+    docstring): all k! relabelings of c come at once from _perm_tables'
+    nibble table, and node u's orbit label is its least image under those
+    that fix c.  Each relabeling inside the range offers its slot the
+    record's low half (id and connected flag) ORed with its column, the key
+    of its witness, and the slot keeps the least offer: the least witness.
     """
     perms, _, nibbles = _perm_tables(k)
     key_hi = np.arange(len(perms), dtype=np.uint64) << np.uint64(SLOT_KEY_SHIFT)
-    class_of: dict[int, int] = {}  # canonical bits -> class index, in the order met
+    canonicals: list[int] = []
+    record_lows: list[int] = []  # canonical id | connected flag, per class
     labels: list[np.ndarray] = []
     bounds = [len(slots) * i // m for i in range(m + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
         part = slots[lo:hi]
+        for c, low in zip(canonicals, record_lows):  # the classes met in earlier ranges
+            _claim(part, lo, _relabelings(nibbles, c), key_hi, low)
         cursor = _next_open(part, 0)
         while cursor < hi - lo:
-            bits = lo + cursor
-            images = _relabelings(nibbles, bits)
-            low = int(images.min())
-            if low != bits:
-                images = _relabelings(nibbles, low)
-            index = class_of.setdefault(low, len(class_of))
-            if index == len(labels):
-                labels.append(perms[images == low].min(axis=0))
-            inside = (images >= lo) & (images < hi)
-            np.minimum.at(part, images[inside] - lo, key_hi[inside] | np.uint64(index))
+            c = lo + cursor
+            images = _relabelings(nibbles, c)
+            record_lows.append(len(canonicals) | is_connected(Graphette(k, c)) << CONNECTED_BIT)
+            labels.append(perms[images == c].min(axis=0))
+            _claim(part, lo, images, key_hi, record_lows[-1])
+            canonicals.append(c)
             cursor = _next_open(part, cursor + 1)
-    minima = np.fromiter(class_of, dtype=np.int64, count=len(class_of))
-    return minima, np.array(labels, dtype=np.uint8)
+    connected = np.array(record_lows) >> CONNECTED_BIT == 1
+    return CanonicalCatalog(k, np.array(canonicals, dtype=np.int64), connected,
+                            np.array(labels, dtype=np.uint8))
 
 
-def _slots_to_records(
-    k: int, slots: np.ndarray, minima: np.ndarray, labels: np.ndarray
-) -> tuple[CanonicalCatalog, LookupTable]:
-    """Turn every sifted slot into its record, in place, and list the catalog.
+def _claim(part: np.ndarray, lo: int, images: np.ndarray, key_hi: np.ndarray, low: int) -> None:
+    """Offer each image inside part, the slots of [lo, lo + len(part)), the
+    record low half low ORed with its column's key; a slot keeps its least offer."""
+    inside = (images >= lo) & (images < lo + len(part))
+    np.minimum.at(part, images[inside] - lo, key_hi[inside] | np.uint64(low))
 
-    minima[i] is the canonical of class i and labels[i] its orbit label row.
-    One argsort puts the canonicals in ascending order, and a class's rank in
-    it is its canonical id.  A slot's record is the id and connected bits of
-    its class ORed with the witness field (_perm_tables) of its key.  Chunks
-    bound the temporaries.
+
+def _slots_to_records(k: int, slots: np.ndarray) -> LookupTable:
+    """Turn every sifted slot into its record, in place.
+
+    A slot's low 16 bits are already its record's; its key is swapped for
+    the witness field (_perm_tables) of that column.  Chunks bound the
+    temporaries.
     """
-    order = np.argsort(minima)
-    canonicals = minima[order]
-    connected = np.array([is_connected(Graphette(k, int(c))) for c in canonicals], dtype=bool)
-    class_low = np.empty(len(order), dtype=np.uint64)
-    class_low[order] = (np.arange(len(order), dtype=np.uint64)
-                        | connected.astype(np.uint64) << np.uint64(CONNECTED_BIT))
     witness_field = _perm_tables(k)[1]
     for start in range(0, len(slots), _RECORD_CHUNK):
         chunk = slots[start:start + _RECORD_CHUNK]
-        claimed = chunk.view(np.int64)  # sifted slots are < 2^32; signed indexes gather faster
-        chunk[:] = class_low[claimed & SLOT_CLASS_MASK] | witness_field[claimed >> SLOT_KEY_SHIFT]
-    catalog = CanonicalCatalog(k, canonicals, connected, labels[order])
-    return catalog, LookupTable(k, slots)
+        # sifted slots are < 2^32; signed indexes gather faster
+        keys = chunk.view(np.int64) >> SLOT_KEY_SHIFT
+        chunk &= np.uint64((1 << SLOT_KEY_SHIFT) - 1)
+        chunk |= witness_field[keys]
+    return LookupTable(k, slots)

@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=_positive_int, default=5,
                    help="graphette order, 1..8 (default 5)")
     p.add_argument("-m", "--partitions", type=_positive_int, default=1,
-                   help="number of sift partitions (default 1: one-shot scan)")
+                   help="number of sift partitions (default 1: one-shot scan); each "
+                        "range relabels every class met before it, so time grows with m")
     p.add_argument("-o", "--out", required=True, help="output table file path")
 
     p = sub.add_parser("orbits", help="list canonicals with their orbit partitions")

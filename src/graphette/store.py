@@ -11,9 +11,9 @@ File layout (little-endian throughout):
 The record section is a LookupTable's records array byte for byte (the bit
 layout sits beside LookupTable in canon): saving writes it as held, loading
 reads it straight into a numpy array, and the catalog's (NC, k) uint8
-orbit_labels are likewise its label bytes.  LookupTable.read (one record,
-which also rejects a bit vector outside the table) and LookupTable.read_batch
-(an index array) are its only readers; every query here goes through them
+orbit_labels are likewise its label bytes.  LookupTable.read (one record)
+and LookupTable.read_batch (an index array), which both reject a bit vector
+outside the table, are its only readers; every query here goes through them
 and decodes only the records it indexes.  Loading refuses, like building, a
 record section larger than half of physical memory.
 """
@@ -168,7 +168,7 @@ def _read(fh: BinaryIO) -> tuple[CanonicalCatalog, LookupTable, GlobalOrbitIndex
     start = fh.tell()
     size = fh.seek(0, io.SEEK_END) - start  # every length check runs before the big reads
     fh.seek(start)
-    header = fh.read(HEADER_SIZE)
+    header = _read_section(fh, np.uint8, min(size, HEADER_SIZE), 0).tobytes()
 
     if size < len(MAGIC):
         raise TruncatedFileError(
@@ -307,7 +307,8 @@ class TableSet:
 
         Node u of a graphette sits at position pos = images[u] of its
         canonical, whose global orbit there is orbits.node_ids[cid, pos],
-        gathered through the flat index cid * k + pos.
+        gathered through the flat index cid * k + pos.  Like identify, it
+        raises ValueError for a bit vector outside the table.
         """
         cids, pos = self.table.read_batch(bits)
         nc, k = len(self.catalog), self.k

@@ -309,7 +309,7 @@ def test_parallel_k6_m16():
 
 @pytest.mark.parametrize("step", [1, 2])
 def test_every_partitioning_gives_the_one_shot_records(step):
-    # step 1 tiles the 64-entry space into equal ranges; step 2 takes the
+    # step 1 tiles the 32,768-entry space into equal ranges; step 2 takes the
     # next count up, whose ranges differ in size
     ref_cat, ref_tab = build_canonical_map(6)
     for m in (2, 4, 16, 64):

@@ -115,7 +115,9 @@ PINNED_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("k,m", [(k, m) for k in range(1, 7) for m in (1, 3, 16)] + [(7, 1)])
+# (4, 64) and (5, 1024) give each range one entry, so most ranges hold no canonical
+@pytest.mark.parametrize("k,m", [(k, m) for k in range(1, 7) for m in (1, 3, 16)]
+                         + [(4, 64), (5, 1024), (7, 1)])
 def test_table_bytes_match_pinned_sha256(k, m):
     blob = table_bytes(TableSet.build(k, m=m))
     assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256[k]
@@ -211,23 +213,34 @@ def test_truncated_header(tables3):
         deserialize(io.BytesIO(blob[:12]))
 
 
-class TrickleStream(io.BytesIO):
-    """Returns at most 1,000 bytes per readinto, as a stream may, and none
-    past stop, while seek still reports the whole file."""
+class TrickleStream(io.RawIOBase):
+    """A seekable raw stream that returns at most chunk bytes per read, as a
+    raw stream may, and none past stop, while seek still reports the whole
+    file."""
 
-    def __init__(self, blob: bytes, stop: int | None = None):
-        super().__init__(blob)
+    def __init__(self, blob: bytes, stop: int | None = None, chunk: int = 1000):
+        self.blob = io.BytesIO(blob)
         self.stop = len(blob) if stop is None else stop
+        self.chunk = chunk
+
+    def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
+        return self.blob.seek(offset, whence)
+
+    def tell(self) -> int:
+        return self.blob.tell()
 
     def readinto(self, buffer) -> int:
-        return super().readinto(memoryview(buffer)[:max(0, min(1000, self.stop - self.tell()))])
+        room = max(0, min(self.chunk, self.stop - self.tell()))
+        return self.blob.readinto(memoryview(buffer).cast("B")[:room])
 
 
 def test_short_reads_load_every_record(tables5):
-    loaded = TableSet.load(TrickleStream(table_bytes(tables5)))
-    assert np.array_equal(loaded.table.records, tables5.table.records)
-    assert np.array_equal(loaded.catalog.canonicals, tables5.catalog.canonicals)
-    assert np.array_equal(loaded.catalog.orbit_labels, tables5.catalog.orbit_labels)
+    # 7 bytes per read also cuts the 38-byte header into pieces
+    for chunk in (1000, 7):
+        loaded = TableSet.load(TrickleStream(table_bytes(tables5), chunk=chunk))
+        assert np.array_equal(loaded.table.records, tables5.table.records)
+        assert np.array_equal(loaded.catalog.canonicals, tables5.catalog.canonicals)
+        assert np.array_equal(loaded.catalog.orbit_labels, tables5.catalog.orbit_labels)
 
 
 def test_stream_ending_early_is_truncated(tables5):
@@ -399,14 +412,16 @@ def test_identify_matches_node_orbit(tables4):
 
 @pytest.mark.parametrize("bits", [-1, 1 << bit_length(3)])
 def test_identify_rejects_bits_out_of_range(tables3, bits):
-    with pytest.raises(ValueError, match="out of range"):
-        tables3.identify(bits)
+    for identify in (tables3.identify, lambda b: tables3.identify_batch(np.array([0, b]))):
+        with pytest.raises(ValueError, match="out of range"):
+            identify(bits)
 
 
 @pytest.mark.parametrize("bits", [-1, 1 << bit_length(3)])
 def test_read_rejects_bits_out_of_range(tables3, bits):
-    with pytest.raises(ValueError, match="out of range"):
-        tables3.table.read(bits)
+    for read in (tables3.table.read, lambda b: tables3.table.read_batch(np.array([0, b]))):
+        with pytest.raises(ValueError, match=f"bits {bits} out of range"):
+            read(bits)
 
 
 @pytest.mark.parametrize("bits, corrupt", [
