@@ -184,12 +184,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     tables = store.TableSet.load(args.table)
     graph = sampler.load_graph(args.graph)
+    start = time.perf_counter()
     acc = sampler.exhaustive_enumerate(graph, tables, bound=args.bound)
     report = sampler.estimate(acc, tables, graph)
     with ExitStack() as stack:
         sampler.write_report_tsv(report, _open_out(stack, args.out))
+    elapsed = time.perf_counter() - start
     print(
-        f"enumerated {acc.n_samples} {tables.k}-subsets of {graph.n} nodes",
+        f"enumerated {acc.n_samples} {tables.k}-subsets of {graph.n} nodes in {elapsed:.2f}s "
+        f"({acc.n_samples / elapsed:.0f} subsets/s)",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -4,7 +4,8 @@ Draw k-node samples by one of three strategies, identify each sample's
 canonical graphette and node orbits through the precomputed table, and
 accumulate graphette counts, orbit counts, and the per-node orbit degree
 vector.  An exhaustive enumerator over all k-subsets doubles as the exact
-oracle for small hosts.
+oracle for small hosts; it unranks each batch of k-subsets from consecutive
+colex ranks in numpy, so no subset is ever a Python tuple.
 
 Identification runs in numpy batches of up to BATCH k-sets: one probe of the
 host's hashed edge set for every edge test of the batch, one fancy-indexed
@@ -35,7 +36,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, islice
+from itertools import chain
 from os import PathLike
 from typing import IO, Sequence, Union
 
@@ -75,14 +76,17 @@ def load_graph(source: Union[str, PathLike, IO[str]]) -> HostGraph:
 
     Node names are arbitrary tokens, interned to dense 0-based labels in
     first-appearance order; '#'-prefixed lines are comments; duplicate edges
-    collapse; self-loops are rejected with their line number.
+    collapse; self-loops are rejected with their line number.  A leading
+    UTF-8 byte-order mark is dropped, from a path or a text stream alike.
     """
     if not hasattr(source, "read"):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return load_graph(fh)
     labels: dict[str, int] = {}
     ends = array("q")  # interned endpoints, two per edge
-    for lineno, raw in enumerate(source, start=1):
+    # a stream decoded as plain UTF-8 keeps the mark as U+FEFF on its first line
+    lines = chain([source.readline().removeprefix("\ufeff")], source)
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -413,7 +417,17 @@ def exhaustive_enumerate(
     tables: TableSet,
     bound: int = DEFAULT_ENUMERATION_BOUND,
 ) -> SampleAccumulator:
-    """Accumulate every k-subset of the host exactly once (small-host oracle)."""
+    """Accumulate every k-subset of the host exactly once (small-host oracle).
+
+    Subsets are visited in colexicographic order, BATCH at a time, each batch
+    made in numpy straight from its ranks [lo, hi) by the combinatorial
+    number system: rank r is the subset c_0 < ... < c_{k-1} with
+    r = C(c_0, 1) + C(c_1, 2) + ... + C(c_{k-1}, k), so for j = k-1 down to 1
+    c_j is the largest c with C(c, j+1) <= r, found by one searchsorted in a
+    table of binomials, and r -= C(c_j, j+1); then c_0 = r.  Every tally is a
+    sum, so the visiting order leaves the accumulator unchanged.  Raises
+    EnumerationBoundError when C(n, k) exceeds `bound` or an int64 rank.
+    """
     k = tables.k
     if graph.n < k:
         raise ValueError(f"host graph has {graph.n} nodes, cannot enumerate k={k}")
@@ -422,10 +436,29 @@ def exhaustive_enumerate(
         raise EnumerationBoundError(
             f"C({graph.n}, {k}) = {total} subsets exceeds the bound {bound}"
         )
+    if total >= 1 << 63:
+        raise EnumerationBoundError(
+            f"C({graph.n}, {k}) = {total} subsets do not fit the int64 subset ranks"
+        )
+    check_memory((k - 1) * graph.n * 8, f"a {k - 1} x {graph.n} binomial table")
+    # binom[j - 1, c] = C(c, j + 1); no entry exceeds C(n, k) when k <= n/2,
+    # and none exceeds C(15, 7) otherwise, since tables stop at k = 8
+    binom = np.empty((k - 1, graph.n), dtype=np.int64)
+    column = np.arange(graph.n, dtype=np.int64)  # C(c, 1)
+    for row in binom:
+        row[0] = 0
+        np.cumsum(column[:-1], out=row[1:])
+        column = row
     acc = SampleAccumulator.empty(tables, graph.n)
-    subsets = combinations(range(graph.n), k)
-    while chunk := list(islice(subsets, BATCH)):
-        _identify(acc, graph, np.array(chunk, dtype=np.int64), tables)
+    for lo in range(0, total, BATCH):
+        rank = np.arange(lo, min(lo + BATCH, total), dtype=np.int64)
+        nodes = np.empty((len(rank), k), dtype=np.int64)
+        for j in range(k - 1, 0, -1):  # c_j: the largest c with C(c, j + 1) <= rank
+            c = np.searchsorted(binom[j - 1], rank, "right") - 1
+            rank -= binom[j - 1, c]
+            nodes[:, j] = c
+        nodes[:, 0] = rank
+        _identify(acc, graph, nodes, tables)
     acc._fold()
     return acc
 

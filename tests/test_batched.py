@@ -8,9 +8,11 @@ exactly.  The sparse ODV pairs are checked against a dense ODV tallied with
 np.add.at.
 """
 
+import hashlib
 import itertools
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -94,6 +96,51 @@ def test_enumerate_matches_accumulate_loop(tables_by_k, k, host):
     assert np.array_equal(batched.graphette_counts, ref.graphette_counts)
     assert np.array_equal(batched.orbit_counts, ref.orbit_counts)
     assert np.array_equal(batched.odv, ref.odv)
+
+
+@pytest.mark.parametrize("k,n", [(1, 40), (2, 15), (5, 9), (4, 4)])
+def test_enumerate_matches_accumulate_loop_at_every_batch_edge(monkeypatch, tables_by_k,
+                                                              k, n):
+    """Batches of one, of a few, one short of every subset and of all of them."""
+    tables = tables_by_k[k] if k in tables_by_k else TableSet.build(k)
+    graph = er_host(n, 0.4, seed=n)
+    ref = SampleAccumulator.empty(tables, graph.n)
+    for nodes in itertools.combinations(range(graph.n), k):
+        accumulate(ref, graph, nodes, tables)
+    total = ref.n_samples
+    for batch in sorted({1, 7, max(1, total - 1), total}):
+        monkeypatch.setattr(sampler, "BATCH", batch)
+        batched = exhaustive_enumerate(graph, tables)
+        assert batched.n_samples == total
+        assert np.array_equal(batched.graphette_counts, ref.graphette_counts)
+        assert np.array_equal(batched.orbit_counts, ref.orbit_counts)
+        assert np.array_equal(batched.odv_keys, ref.odv_keys)
+        assert np.array_equal(batched.odv_counts, ref.odv_counts)
+
+
+def test_enumerate_refuses_ranks_past_int64():
+    """C(10^6, 8) is about 2.5e43: refused before any table or array is made."""
+    graph, tables = SimpleNamespace(n=10**6), SimpleNamespace(k=8)
+    with pytest.raises(sampler.EnumerationBoundError, match="int64"):
+        exhaustive_enumerate(graph, tables, bound=10**50)
+
+
+# sha256 of report_to_string(estimate(exhaustive_enumerate(...))), pinned when
+# subsets were still enumerated in lexicographic order
+ENUMERATE_REPORT_SHA256 = {
+    3: "7f5b52aa8deba316377a7e29635b35e66f9be232cb9bb39cb4269a16f3324ec7",
+    4: "061f9165b89d5e9d7b2addcbda7c77f5d41928fff160863d603fd853f3cd6f05",
+    5: "0a8e59d1763ad4b1b3b2f7bf42004745ffc07a39854981098d892bf6ad860f97",
+    7: "afb27bae74a2bc944f37d2b8e72aeaa98ca07a0f2bbd0dc02b1b4e9645bfc51e",
+}
+
+
+@pytest.mark.parametrize("k", sorted(ENUMERATE_REPORT_SHA256))
+def test_enumerate_report_bytes_match_pinned_sha256(tables_by_k, k):
+    tables = tables_by_k[k]
+    graph = er_host(16, 0.4, seed=16) if k == 7 else er_host(30, 0.2, seed=2026)
+    report = report_to_string(estimate(exhaustive_enumerate(graph, tables), tables, graph))
+    assert hashlib.sha256(report.encode()).hexdigest() == ENUMERATE_REPORT_SHA256[k]
 
 
 def test_accumulate_alternating_with_odv_reads(tables_by_k):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -203,9 +204,10 @@ def test_sample_host_smaller_than_k(k3_table, tmp_path):
 def test_enumerate_path(k3_table, tmp_path, capsys):
     graph = write_graph(tmp_path, "path.txt", "a b\nb c\n")
     assert main(["enumerate", "--table", str(k3_table), "--graph", str(graph)]) == EXIT_OK
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     path_line = [l for l in out.splitlines() if l.startswith("2\t3\t")]
     assert path_line and path_line[0].split("\t")[3] == "1"
+    assert re.fullmatch(r"enumerated 1 3-subsets of 3 nodes in \d+\.\d\ds \(\d+ subsets/s\)\n", err)
 
 
 def test_enumerate_4cycle(k3_table, tmp_path, capsys):

@@ -85,6 +85,20 @@ def test_load_crlf_lines_as_lf_lines(tmp_path):
         load_graph(path)
 
 
+def test_load_drops_a_byte_order_mark(tmp_path, tables3):
+    """A BOM-prefixed triangle is still a triangle, named a, b, c."""
+    text = "a b\nb c\nc a\n"
+    plain = load_graph(io.StringIO(text))
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    expected = report_to_string(estimate(exhaustive_enumerate(plain, tables3), tables3, plain))
+    for source in (path, io.StringIO("\ufeff" + text)):
+        g = load_graph(source)
+        assert g.names == plain.names == ["a", "b", "c"]
+        assert np.array_equal(g.edge_array, plain.edge_array)
+        assert report_to_string(estimate(exhaustive_enumerate(g, tables3), tables3, g)) == expected
+
+
 # --- draw_sample -------------------------------------------------------------
 
 
