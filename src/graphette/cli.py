@@ -13,7 +13,7 @@ import time
 from contextlib import ExitStack
 
 from . import sampler, store
-from .core import Graphette, decode, encode
+from .core import Graphette, HostGraph, decode, encode
 from .orbits import OrbitPartition
 
 EXIT_OK = 0
@@ -158,6 +158,17 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _report(args: argparse.Namespace, acc: sampler.SampleAccumulator, tables: store.TableSet,
+            graph: HostGraph, start: float, done: str, unit: str) -> int:
+    """Estimate, write the report, and print `done`, the time and the rate to stderr."""
+    report = sampler.estimate(acc, tables, graph)
+    with ExitStack() as stack:
+        sampler.write_report_tsv(report, _open_out(stack, args.out))
+    elapsed = time.perf_counter() - start
+    print(f"{done} in {elapsed:.2f}s ({acc.n_samples / elapsed:.0f} {unit}/s)", file=sys.stderr)
+    return EXIT_OK
+
+
 def _cmd_sample(args: argparse.Namespace) -> int:
     tables = store.TableSet.load(args.table)
     graph = sampler.load_graph(args.graph)
@@ -170,15 +181,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    report = sampler.estimate(acc, tables, graph)
-    with ExitStack() as stack:
-        sampler.write_report_tsv(report, _open_out(stack, args.out))
-    print(
-        f"sampled {args.samples} {tables.k}-sets ({args.strategy}, seed={args.seed}) "
-        f"from {graph.n} nodes in {time.perf_counter() - start:.2f}s",
-        file=sys.stderr,
-    )
-    return EXIT_OK
+    return _report(args, acc, tables, graph, start,
+                   f"sampled {args.samples} {tables.k}-sets ({args.strategy}, "
+                   f"seed={args.seed}) from {graph.n} nodes", "samples")
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -186,16 +191,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     graph = sampler.load_graph(args.graph)
     start = time.perf_counter()
     acc = sampler.exhaustive_enumerate(graph, tables, bound=args.bound)
-    report = sampler.estimate(acc, tables, graph)
-    with ExitStack() as stack:
-        sampler.write_report_tsv(report, _open_out(stack, args.out))
-    elapsed = time.perf_counter() - start
-    print(
-        f"enumerated {acc.n_samples} {tables.k}-subsets of {graph.n} nodes in {elapsed:.2f}s "
-        f"({acc.n_samples / elapsed:.0f} subsets/s)",
-        file=sys.stderr,
-    )
-    return EXIT_OK
+    return _report(args, acc, tables, graph, start,
+                   f"enumerated {acc.n_samples} {tables.k}-subsets of {graph.n} nodes", "subsets")
 
 
 _COMMANDS = {

@@ -201,13 +201,13 @@ class HostGraph:
     """A large undirected simple graph with O(k^2)-cost induced-subgraph reads.
 
     Adjacency is stored in compressed sparse rows (sorted neighbor arrays), so
-    a single edge test is a binary search in one node's neighbor list, and
-    the i-th edge (u, v), u < v, in sorted order is read from the rows.
-    Batched edge tests probe an open-addressing set of the edge keys
-    u*n + v (u < v) instead, at load at most 1/2.  The rows hold int32
-    labels and take 8 bytes per edge and 16 per node, the set 16 to 32 bytes
-    per edge: 5.2 and 8.0 MiB for a configuration-model host of 100,000
-    nodes and 475,898 edges.
+    a single edge test is a binary search in one node's neighbor list.  Each
+    edge owns two adjacency slots, one in each end's row, so a uniform slot
+    names a uniform edge.  Batched edge tests probe an open-addressing set of
+    the edge keys u*n + v (u < v) instead, at load at most 1/2.  The rows
+    hold int32 labels and take 8 bytes per edge and 8 per node, the set 16
+    to 32 bytes per edge: 4.4 and 8.0 MiB for a configuration-model host of
+    100,000 nodes and 475,898 edges.
     """
 
     def __init__(self, n: int, edges: "Iterable[tuple[int, int]] | np.ndarray",
@@ -233,8 +233,7 @@ class HostGraph:
             self.names = [str(i) for i in range(n)]
         # Both orientations' keys u*n + v, deduplicated after one sort (numpy
         # 2.4's hash-based np.unique is ~60x slower), are the adjacency slots:
-        # row u is the run [u*n, (u+1)*n).  Those with u < v are the edge
-        # keys, and _upper_ptr[u] counts the edge keys of the rows before u.
+        # row u is the run [u*n, (u+1)*n).  Those with u < v are the edge keys.
         u, v = arr.T
         slots = np.sort(np.concatenate([u * n + v, v * n + u]))
         first = np.empty(len(slots), dtype=bool)  # one bool per key, no int64 temporaries
@@ -243,11 +242,10 @@ class HostGraph:
         slots = slots[first]
         rows, cols = np.divmod(slots, n)
         self._indices = cols.astype(np.int32)
-        starts = np.arange(n + 1, dtype=np.int64) * n
-        self._indptr = np.searchsorted(slots, starts)
+        self._indptr = np.searchsorted(slots, np.arange(n + 1, dtype=np.int64) * n)
         keys = slots[rows < cols]
         del slots, rows, cols  # freed before the hash set is laid out
-        self._upper_ptr = np.searchsorted(keys, starts)
+        self.edge_count = len(keys)
         self._hash_edges(keys)
 
     def _hash_edges(self, keys: np.ndarray) -> None:
@@ -281,23 +279,19 @@ class HostGraph:
         self._hash_table[:] = self._hash_free
         self._hash_table[pos] = hashes
 
-    @property
-    def edge_count(self) -> int:
-        return int(self._upper_ptr[-1])
+    def slot_ends(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both ends (u, v) of adjacency slots s, 0 <= s < 2m (unchecked).
 
-    def edge_ends(self, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ends (u, v), u < v, of the i-th edges in sorted order (unchecked).
-
-        Edge i is in row u, the last row whose _upper_ptr[u] <= i, among the
-        neighbors above u that end row u.
+        Slot s lies in row u, the last row that starts at or before s, so
+        empty rows are skipped, and holds neighbor v of u.
         """
-        u = np.searchsorted(self._upper_ptr, i, side="right") - 1
-        return u, self._indices[self._indptr[u + 1] - self._upper_ptr[u + 1] + i]
+        return np.searchsorted(self._indptr, s, side="right") - 1, self._indices[s]
 
     @property
     def edge_array(self) -> np.ndarray:
-        """(m, 2) edges (u, v), u < v, lexicographically sorted; built on each read."""
-        return np.stack(self.edge_ends(np.arange(self.edge_count)), axis=1)
+        """(m, 2) int64 edges (u, v), u < v, lexicographically sorted; built on each read."""
+        ends = np.stack(self.slot_ends(np.arange(2 * self.edge_count)), axis=1)
+        return ends[ends[:, 0] < ends[:, 1]]
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor labels of u (a view; do not mutate)."""

@@ -11,22 +11,23 @@ Identification runs in numpy batches of up to BATCH k-sets: one probe of the
 host's hashed edge set for every edge test of the batch, one fancy-indexed
 table decode, and bincounts into the tallies.  Every strategy draws a whole
 block of k-sets at once in _draw_batch, and draw_sample is its batch of one.
-Local and edge expansion grow every row of the block one column at a time:
-each row draws one of its Σdeg(S) adjacency slots, which picks a selected
-node u in proportion to its degree and then a uniform neighbor v of u; v is
-rejected if already selected and otherwise accepted with probability
-1 / c(v), c(v) being its number of selected neighbors, so every frontier
-node is equally likely.  A row whose cut Σdeg(S) - 2e(S) is 0 has no
-frontier and restarts at a uniform unselected node.  accumulate is the
-batch-of-one identify.  The orbit degree vector (ODV) is sparse: each
-batch's flat (node, orbit) ids are tallied into sorted (id, count) pairs,
-which are folded into the accumulator's pairs, so no n x W array exists from
-sample to report; SampleAccumulator.odv builds the dense array only on
-request.  estimate lays the frequencies over the accumulator's arrays without
-copying them, and write_report_tsv formats only the nonzero counts, slicing
-every run of zeros from one prebuilt string.  sample_distribution's
-`workers` splits the draws into that many seeded streams, run one after
-another.
+Local expansion starts a row at a uniform node, edge expansion at the ends
+of a uniform host adjacency slot (a uniform edge); both grow every row of
+the block one column at a time: each row draws one of its Σdeg(S) adjacency
+slots, which picks a selected node u in proportion to its degree and then a
+uniform neighbor v of u; v is rejected if already selected and otherwise
+accepted with probability 1 / c(v), c(v) being its number of selected
+neighbors, so every frontier node is equally likely.  A row whose cut
+Σdeg(S) - 2e(S) is 0 has no frontier and restarts at a uniform unselected
+node.  accumulate is the batch-of-one identify.  The orbit degree vector
+(ODV) is sparse: each batch's flat (node, orbit) ids are tallied into
+sorted (id, count) pairs, which are folded into the accumulator's pairs, so
+no n x W array exists from sample to report; SampleAccumulator.odv builds
+the dense array only on request.  estimate lays the frequencies over the
+accumulator's arrays without copying them, and write_report_tsv formats
+only the nonzero counts, slicing every run of zeros from one prebuilt
+string.  sample_distribution's `workers` splits the draws into that many
+seeded streams, run one after another.
 """
 
 from __future__ import annotations
@@ -179,10 +180,11 @@ def _draw_batch(graph: HostGraph, rng: np.random.Generator, k: int,
     """(size, k) int64 rows of distinct host labels, drawn by the strategy.
 
     Uniform rows come from _uniform_batch.  Local expansion starts each row
-    at a uniform node, edge expansion at both ends of a uniform edge (the
-    lower end alone when k = 1); the rows then grow one column at a time by
-    _extend, which adds a node uniform over the row's frontier, or a uniform
-    unselected node when the frontier is empty.
+    at a uniform node.  Edge expansion draws one of the host's 2m adjacency
+    slots; each edge owns two, so the slot's two ends are a uniform edge,
+    taken lower end first (the lower end alone when k = 1).  The rows then
+    grow one column at a time by _extend, which adds a node uniform over the
+    row's frontier, or a uniform unselected node when the frontier is empty.
     """
     if graph.n < k:
         raise ValueError(f"host graph has {graph.n} nodes, cannot sample k={k}")
@@ -196,8 +198,8 @@ def _draw_batch(graph: HostGraph, rng: np.random.Generator, k: int,
         if graph.edge_count == 0:
             raise ValueError("edge expansion needs at least one edge")
         start = min(2, k)
-        ends = graph.edge_ends(rng.integers(graph.edge_count, size=size))
-        nodes[:, :start] = np.stack(ends[:start], axis=1)
+        u, v = graph.slot_ends(rng.integers(2 * graph.edge_count, size=size))
+        nodes[:, :start] = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)[:, :start]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     inner = np.full(size, start - 1, dtype=np.int64)  # e(S): one edge or none
@@ -489,9 +491,15 @@ class GraphetteReport:
 
 
 def estimate(acc: SampleAccumulator, tables: TableSet, graph: HostGraph) -> GraphetteReport:
-    """Graphette and orbit frequencies over the accumulator's tallies."""
+    """Graphette and orbit frequencies over the accumulator's tallies; raises
+    ValueError when acc is empty or its k, orbits or nodes differ from the
+    tables' or the graph's."""
     if acc.n_samples < 1:
         raise ValueError("no samples accumulated")
+    found = (acc.k, len(acc.orbit_counts), acc.host_nodes)
+    wanted = (tables.k, tables.orbits.total_orbits, graph.n)
+    if found != wanted:
+        raise ValueError(f"accumulator has (k, orbits, nodes) {found}, tables and graph {wanted}")
     n = acc.n_samples
     return GraphetteReport(
         k=acc.k,

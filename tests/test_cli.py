@@ -172,7 +172,9 @@ def test_sample_complete_host(k3_table, tmp_path, capsys):
     triangle = [l for l in lines if l.startswith("3\t7\t")]
     assert triangle and triangle[0].split("\t")[4] == "1"
     # progress went to stderr, not into the report
-    assert "sampled" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"sampled 500 3-sets \(uniform, seed=3\) from 5 nodes in \d+\.\d\ds "
+                        r"\(\d+ samples/s\)\n", err)
 
 
 def test_sample_deterministic_output(k3_table, tmp_path):

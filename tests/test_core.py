@@ -440,13 +440,16 @@ def test_has_edges_matches_the_scalar_search_on_100k_pairs():
 
 
 @pytest.mark.parametrize("n, m", [(1, 0), (9, 0), (20, 400), (60, 200), (3000, 10_000)])
-def test_edge_ends_read_the_edges_in_lexicographic_order(n, m):
-    # edge draws index this order, so it pins the bytes of edge-expansion reports
+def test_slot_ends_and_edge_array_read_the_rows(n, m):
+    # edge draws take the ends of a uniform slot, so slot order pins the bytes
+    # of edge-expansion reports; (3000, 10_000) leaves some rows empty
     rng = np.random.default_rng(n + m)
     arr = rng.integers(n, size=(m, 2))
     arr = arr[arr[:, 0] != arr[:, 1]]
     g = HostGraph(n, arr)
     expected = sorted({(min(u, v), max(u, v)) for u, v in arr.tolist()})
-    u, v = g.edge_ends(np.arange(g.edge_count))
-    assert list(zip(u.tolist(), v.tolist())) == expected
+    assert g.edge_count == len(expected) and isinstance(g.edge_count, int)
+    u, v = g.slot_ends(np.arange(2 * g.edge_count))
+    assert list(zip(u.tolist(), v.tolist())) == sorted(expected + [(b, a) for a, b in expected])
+    assert g.edge_array.dtype == np.int64
     assert g.edge_array.tolist() == [list(e) for e in expected]

@@ -278,6 +278,16 @@ def test_estimate_requires_samples(tables3):
         estimate(acc, tables3, HostGraph(4, [(0, 1)]))
 
 
+def test_estimate_refuses_an_accumulator_of_other_tables_or_graph(tables3, tables4):
+    path = HostGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    acc = sample_distribution(path, tables3, 100, seed=26)
+    estimate(acc, tables3, HostGraph(5, []))  # the same node count is enough
+    with pytest.raises(ValueError, match=r"\(3, 6, 5\), tables and graph \(3, 6, 8\)"):
+        estimate(acc, tables3, HostGraph(8, [(0, 1)]))
+    with pytest.raises(ValueError, match=r"\(3, 6, 5\), tables and graph \(4, 20, 5\)"):
+        estimate(acc, tables4, path)
+
+
 def test_sampling_converges_to_enumeration(tables3):
     rng = np.random.default_rng(11)
     edges = [(u, v) for u, v in itertools.combinations(range(12), 2) if rng.random() < 0.3]
@@ -387,6 +397,10 @@ def test_report_odv_rows_on_a_sparse_host(tables4):
 # separate edge (8-9): frontiers of every size, c(v) of 1 and 2, and rows
 # whose component runs out mid-growth
 LAW_HOST_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (4, 5), (5, 6), (6, 7), (8, 9)]
+# the same host on 13 labels with 0, 6 and 12 isolated: empty adjacency rows
+# first, in the middle and last, which edge starts must skip
+SPREAD = [1, 2, 3, 4, 5, 7, 8, 9, 10, 11]
+ISOLATED_HOST_EDGES = [(SPREAD[u], SPREAD[v]) for u, v in LAW_HOST_EDGES]
 
 
 def frontier_law(host, k, strategy):
@@ -412,11 +426,16 @@ def frontier_law(host, k, strategy):
     return law
 
 
-@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("n, edges, k", [
+    pytest.param(10, LAW_HOST_EDGES, 3, id="3"),
+    pytest.param(10, LAW_HOST_EDGES, 4, id="4"),
+    pytest.param(13, ISOLATED_HOST_EDGES, 3, id="isolated-3"),
+    pytest.param(13, ISOLATED_HOST_EDGES, 4, id="isolated-4"),
+])
 @pytest.mark.parametrize("strategy", [SamplingStrategy.LOCAL_EXPANSION,
                                       SamplingStrategy.EDGE_EXPANSION])
-def test_expansion_draws_follow_the_frontier_law(strategy, k):
-    host = HostGraph(10, LAW_HOST_EDGES)
+def test_expansion_draws_follow_the_frontier_law(strategy, n, edges, k):
+    host = HostGraph(n, edges)
     law = frontier_law(host, k, strategy)
     assert sum(law.values()) == 1
     draws = 200_000
