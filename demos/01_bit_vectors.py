@@ -8,12 +8,17 @@ from graphette import (
     Graphette,
     Permutation,
     apply_permutation,
-    complement,
+    bit_length,
     decode,
-    degree_sequence,
     encode,
     is_connected,
 )
+
+
+def degree_sequence(g: Graphette) -> list[int]:
+    """Node degrees in non-decreasing order, counted off the edge set."""
+    return sorted(sum(u in edge for edge in decode(g)) for u in range(g.k))
+
 
 # The triangle on 3 nodes uses all b(3) = 3 bits.
 triangle = encode(3, [(0, 1), (0, 2), (1, 2)])
@@ -29,9 +34,9 @@ print("degrees:", degree_sequence(one_edge), "connected:", is_connected(one_edge
 swapped = apply_permutation(one_edge, Permutation((2, 1, 0)))
 print("after relabeling:", sorted(decode(swapped)), "bits =", swapped.bits)
 
-# The complement flips every possible edge.
+# The complement flips every possible edge: XOR with all b(k) bits set.
 print("\ncomplement of the empty 4-graphette:",
-      bin(complement(Graphette(4, 0)).bits))
+      bin(Graphette(4, 0).bits ^ (1 << bit_length(4)) - 1))
 
 # All 8 bit vectors on 3 nodes, with their structure:
 print("\nall 3-node graphettes:")

@@ -1,40 +1,57 @@
 #!/usr/bin/env python3
-# Automorphisms, their cycles, and the node orbits they generate.
+# Automorphism group sizes and node orbits, read off canonical lookup tables.
 #
 # Nodes in the same orbit are topologically interchangeable: some
-# automorphism maps one onto the other.
+# automorphism maps one onto the other.  A table build finds each
+# canonical's automorphisms in its own sweep and stores every node's orbit
+# label (the minimum node index in its orbit); nothing is recomputed here.
 
-from graphette import (
-    Permutation,
-    encode,
-    generate_automorphisms,
-    orbit_partition,
-    split_cycles,
-)
+from math import factorial
 
-# A path on 4 nodes: 0-1-2-3. Its only symmetry is the end-for-end flip.
-path = encode(4, [(0, 1), (1, 2), (2, 3)])
-auts = generate_automorphisms(path)
-print("path 0-1-2-3 automorphisms:")
-for p in auts.perms:
-    print("  ", p.mapping, "cycles:", split_cycles(p).cycles)
+import numpy as np
 
-part = orbit_partition(path)
-print("orbits:", part.groups())   # ends {0,3} and middles {1,2}
+from graphette import OrbitPartition, decode, encode
+from graphette.store import TableSet
+
+tables = {k: TableSet.build(k) for k in (4, 5)}
+
+
+def automorphism_counts(t: TableSet) -> np.ndarray:
+    """|Aut(c)| for every canonical c: the k! relabelings of c hit each member
+    of its class |Aut(c)| times, so |Aut(c)| = k! / (class size)."""
+    cids, _ = t.table.read_batch(np.arange(len(t.table)))
+    return factorial(t.k) // np.bincount(cids, minlength=len(t.catalog))
+
+
+def canonical_orbits(t: TableSet, cid: int) -> OrbitPartition:
+    labels = tuple(t.catalog.orbit_labels[cid].tolist())
+    return OrbitPartition(t.catalog.graphette(cid), labels, len(set(labels)))
+
+
+def describe(name: str, g) -> None:
+    t = tables[g.k]
+    cid = t.query(g)[0]
+    ids = [t.node_orbit(g, u) for u in range(g.k)]  # global orbit id per node of g
+    groups = sorted({tuple(u for u in range(g.k) if ids[u] == i) for i in ids})
+    print(f"{name}: |Aut| = {automorphism_counts(t)[cid]}, orbits: {groups}")
+    print(f"  its canonical bits={t.catalog.canonicals[cid]}:",
+          "orbits", canonical_orbits(t, cid).groups())
+
+
+# A path on 4 nodes: 0-1-2-3. Its only symmetry is the end-for-end flip,
+# so the ends {0,3} share one orbit and the middles {1,2} another.
+describe("path 0-1-2-3", encode(4, [(0, 1), (1, 2), (2, 3)]))
 
 # A 5-cycle is vertex-transitive: 10 automorphisms, one orbit.
-ring = encode(5, [(i, (i + 1) % 5) for i in range(5)])
-print(f"\n5-cycle: |Aut| = {len(generate_automorphisms(ring))},",
-      "orbits:", orbit_partition(ring).groups())
+describe("\n5-cycle", encode(5, [(i, (i + 1) % 5) for i in range(5)]))
 
-# Splitting one permutation into cycles:
-p = Permutation((2, 0, 1, 3, 5, 4))
-print("\ncycles of (2,0,1,3,5,4):", split_cycles(p).cycles)
-
-# The Petersen graph: famously symmetric, |Aut| = 120, a single orbit.
-outer = [(i, (i + 1) % 5) for i in range(5)]
-spokes = [(i, i + 5) for i in range(5)]
-inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-petersen = encode(10, outer + spokes + inner)
-print(f"\nPetersen graph: |Aut| = {len(generate_automorphisms(petersen))},",
-      f"orbit count = {orbit_partition(petersen).orbit_count}")
+# Every k=4 class with its group size; the class sizes k!/|Aut| fill 2^6.
+t4 = tables[4]
+auts = automorphism_counts(t4)
+print("\nk=4 canonicals:")
+for cid in range(len(t4.catalog)):
+    g = t4.catalog.graphette(cid)
+    print(f"  {cid:2d}: edges={sorted(decode(g))!s:50} |Aut|={auts[cid]:2d}  "
+          f"orbits={canonical_orbits(t4, cid).groups()}")
+print("class sizes sum to", int((factorial(4) // auts).sum()), "= 2^6 bit vectors")
+print("orbit total:", t4.orbits.total_orbits)

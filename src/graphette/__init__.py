@@ -3,7 +3,6 @@
 from .canon import (
     CanonicalCatalog,
     LookupTable,
-    are_isomorphic,
     build_canonical_map,
 )
 from .core import (
@@ -12,25 +11,16 @@ from .core import (
     Permutation,
     apply_permutation,
     bit_length,
-    complement,
     decode,
-    degree_sequence,
     edge_bit,
     encode,
     induced_bits,
     is_connected,
 )
 from .orbits import (
-    AutomorphismSet,
-    CycleSet,
     GlobalOrbitIndex,
     OrbitPartition,
     assign_global_orbit_ids,
-    compute_orbit_partitions,
-    enumerate_orbits,
-    generate_automorphisms,
-    orbit_partition,
-    split_cycles,
 )
 from .sampler import (
     GraphetteReport,

@@ -1,4 +1,4 @@
-"""Graphette isomorphism testing and canonical lookup-table construction.
+"""Canonical lookup-table construction.
 
 The canonical representative of an isomorphism class is its numerically
 lowest bit vector.  Tables map every bit vector B to one packed record
@@ -41,21 +41,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
-from .core import (
-    Graphette,
-    Permutation,
-    _bit_layout,
-    adjacency_masks,
-    bit_length,
-    check_memory,
-    degree_sequence,
-    degrees,
-    is_connected,
-)
+from .core import Graphette, _bit_layout, bit_length, check_memory, is_connected
 
 MAX_BUILD_K = 8          # 3-bit witness digits and the 14-bit id field cap builds and files at k=8
 _SCAN_CHUNK = 1 << 12    # entries compared per step of the unclaimed scan
@@ -157,65 +146,6 @@ class LookupTable:
         cids = (records & ID_MASK).astype(np.intp)
         images = (records[:, None] >> _WITNESS_SHIFTS[:self.k] & 7).astype(np.intp)
         return cids, images
-
-
-# ---------------------------------------------------------------------------
-# pairwise isomorphism
-
-
-def _iter_isomorphisms(g: Graphette, h: Graphette) -> Iterator[tuple[int, ...]]:
-    """Yield every node mapping taking g onto h, in lexicographic order.
-
-    Backtracking over partial assignments; a node may only map to a node of
-    equal degree, and each extension is checked against all earlier edges.
-    """
-    k = g.k
-    deg_g, deg_h = degrees(g), degrees(h)
-    adj_g, adj_h = adjacency_masks(g), adjacency_masks(h)
-    candidates = [[v for v in range(k) if deg_h[v] == deg_g[u]] for u in range(k)]
-    image = [0] * k
-    used = [False] * k
-
-    def extend(u: int) -> Iterator[tuple[int, ...]]:
-        if u == k:
-            yield tuple(image)
-            return
-        row = adj_g[u]
-        for v in candidates[u]:
-            if used[v]:
-                continue
-            hrow = adj_h[v]
-            ok = True
-            for s in range(u):
-                if (row >> s & 1) != (hrow >> image[s] & 1):
-                    ok = False
-                    break
-            if ok:
-                used[v] = True
-                image[u] = v
-                yield from extend(u + 1)
-                used[v] = False
-
-    yield from extend(0)
-
-
-def are_isomorphic(g: Graphette, h: Graphette) -> Permutation | None:
-    """Witness permutation taking g onto h, or None if not isomorphic.
-
-    Rejects cheaply on edge-count then degree-sequence mismatch before
-    cycling through degree-compatible node assignments.
-    """
-    if g.k != h.k:
-        raise ValueError(f"size mismatch: k={g.k} vs k={h.k}")
-    if g.bits == h.bits:
-        return Permutation.identity(g.k)
-    if g.edge_count != h.edge_count:
-        return None
-    if degree_sequence(g) != degree_sequence(h):
-        return None
-    for mapping in _iter_isomorphisms(g, h):
-        return Permutation(mapping)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ import numpy as np
 
 # Graphette and the scalar functions hold bits in Python ints, so they take
 # k <= 12 (b = 66 bits).  induced_bits_batch packs int64 and stops at k=11
-# (b = 55), automorphism enumeration at k=10 (orbits.MAX_AUTOMORPHISM_K) and
-# tables at k=8 (canon.MAX_BUILD_K).
+# (b = 55), and tables at k=8 (canon.MAX_BUILD_K).
 MAX_K = 12
 
 
@@ -144,20 +143,6 @@ def apply_permutation(g: Graphette, perm: Permutation) -> Graphette:
     return Graphette(g.k, sum(1 << edge_bit(m[i], m[j]) for i, j in decode(g)))
 
 
-def degree_sequence(g: Graphette) -> list[int]:
-    """Node degrees of g in non-decreasing order."""
-    return sorted(degrees(g))
-
-
-def degrees(g: Graphette) -> list[int]:
-    """Per-node degrees of g, indexed by node."""
-    deg = [0] * g.k
-    for i, j in decode(g):
-        deg[i] += 1
-        deg[j] += 1
-    return deg
-
-
 def adjacency_masks(g: Graphette) -> list[int]:
     """Per-node neighbor bitmasks (bit v of entry u set iff edge {u, v})."""
     masks = [0] * g.k
@@ -184,12 +169,6 @@ def is_connected(g: Graphette) -> bool:
         frontier = nxt & ~seen
         seen |= frontier
     return seen == (1 << g.k) - 1
-
-
-def complement(g: Graphette) -> Graphette:
-    """Edge-complement within the k-node graphette (no self-loops appear)."""
-    full = (1 << bit_length(g.k)) - 1
-    return Graphette(g.k, g.bits ^ full)
 
 
 # Multiplicative hashing (Knuth, TAOCP vol. 3, section 6.4): C is odd, so

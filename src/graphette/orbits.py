@@ -1,12 +1,11 @@
-"""Automorphism groups, permutation cycles, and node orbits of graphettes.
+"""Node orbits of graphettes and their numbering across a catalog.
 
-The orbit pipeline: enumerate every automorphism of a graphette, split each
-one into its node cycles, then repeatedly recolor each cycle with its
-minimum current color until stable.  Nodes sharing a final color form one
-orbit, and the color itself is the orbit's minimum node index.
-
-Table builds read their orbit labels off the automorphisms their own sweep
-finds (canon.build_canonical_map); this pipeline is the independent reference.
+Two nodes of a graphette share an orbit when some automorphism maps one onto
+the other.  A table build reads each canonical's orbit labels off the
+relabelings its own sweep finds (canon.build_canonical_map), as the minimum
+node index of each orbit; this module numbers those orbits consecutively
+across the catalog (``assign_global_orbit_ids``) and gives the partition of
+one graphette a printable form (``OrbitPartition``).
 """
 
 from __future__ import annotations
@@ -15,28 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canon import CanonicalCatalog, _iter_isomorphisms
-from .core import Graphette, Permutation, bit_length, complement
-
-MAX_AUTOMORPHISM_K = 10  # brute-force enumeration stays practical up to here
-
-
-@dataclass(frozen=True)
-class AutomorphismSet:
-    """All permutations fixing a graphette, in lexicographic order."""
-
-    g: Graphette
-    perms: tuple[Permutation, ...]
-
-    def __len__(self) -> int:
-        return len(self.perms)
-
-
-@dataclass(frozen=True)
-class CycleSet:
-    """Disjoint cycles of one permutation, covering every node once."""
-
-    cycles: tuple[tuple[int, ...], ...]
+from .canon import CanonicalCatalog
+from .core import Graphette
 
 
 @dataclass(frozen=True)
@@ -68,79 +47,6 @@ class GlobalOrbitIndex:
     bases: np.ndarray
     total_orbits: int
     node_ids: np.ndarray
-
-
-def generate_automorphisms(g: Graphette) -> AutomorphismSet:
-    """Every permutation that maps g onto itself.
-
-    Only degree-class-preserving assignments are generated, and the search
-    runs on whichever of g and its complement has fewer edges (they share
-    one automorphism group).
-    """
-    if g.k > MAX_AUTOMORPHISM_K:
-        raise ValueError(
-            f"automorphism enumeration supports k <= {MAX_AUTOMORPHISM_K}, got {g.k}"
-        )
-    base = g if 2 * g.edge_count <= bit_length(g.k) else complement(g)
-    perms = tuple(Permutation(m) for m in _iter_isomorphisms(base, base))
-    return AutomorphismSet(g=g, perms=perms)
-
-
-def split_cycles(perm: Permutation) -> CycleSet:
-    """Split a permutation into its disjoint cycles (u, perm(u), ...)."""
-    visited = [False] * perm.k
-    cycles: list[tuple[int, ...]] = []
-    for u in range(perm.k):
-        if visited[u]:
-            continue
-        cycle = [u]
-        visited[u] = True
-        v = perm(u)
-        while v != u:
-            cycle.append(v)
-            visited[v] = True
-            v = perm(v)
-        cycles.append(tuple(cycle))
-    return CycleSet(tuple(cycles))
-
-
-def enumerate_orbits(g: Graphette, auts: AutomorphismSet) -> OrbitPartition:
-    """Merge the cycles of every automorphism into orbits.
-
-    Each node starts with its own index as color; every cycle is recolored
-    to its minimum member color, and the sweep repeats until no color
-    changes, so the result does not depend on cycle order.
-    """
-    if auts.g != g:
-        raise ValueError("automorphism set was computed for a different graphette")
-    color = list(range(g.k))
-    cycles = [c for p in auts.perms for c in split_cycles(p).cycles if len(c) > 1]
-    changed = True
-    while changed:
-        changed = False
-        for cycle in cycles:
-            low = min(color[u] for u in cycle)
-            for u in cycle:
-                if color[u] != low:
-                    color[u] = low
-                    changed = True
-    return OrbitPartition(g=g, orbit_of=tuple(color), orbit_count=len(set(color)))
-
-
-def orbit_partition(g: Graphette) -> OrbitPartition:
-    """Orbits of g straight from its automorphism group."""
-    return enumerate_orbits(g, generate_automorphisms(g))
-
-
-def compute_orbit_partitions(catalog: CanonicalCatalog) -> None:
-    """Fill catalog.orbit_labels with the orbit partition of every canonical.
-
-    The reference for the labels a build already carries, as the same array.
-    """
-    labels = np.empty((len(catalog), catalog.k), dtype=np.uint8)
-    for cid in range(len(catalog)):
-        labels[cid] = orbit_partition(catalog.graphette(cid)).orbit_of
-    catalog.orbit_labels = labels
 
 
 def assign_global_orbit_ids(catalog: CanonicalCatalog) -> GlobalOrbitIndex:

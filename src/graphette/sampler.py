@@ -373,10 +373,15 @@ def accumulate(
     """Identify one k-node sample and fold it into the accumulator.
 
     Costs O(k^2) host edge tests plus O(1) table lookups, independent of
-    host size.  Raises ValueError on a wrong size, a repeated label or a
-    label outside the host.
+    host size.  Raises ValueError on a wrong size, a repeated label, a
+    label outside the host, or an accumulator made for other tables or
+    another node count.
     """
-    if len(nodes) != tables.k or acc.k != tables.k:
+    if acc.k != tables.k:
+        raise ValueError(f"accumulator k={acc.k} does not match table k={tables.k}")
+    if acc.host_nodes != graph.n:
+        raise ValueError(f"accumulator has {acc.host_nodes} nodes, the graph {graph.n}")
+    if len(nodes) != tables.k:
         raise ValueError(f"sample size {len(nodes)} does not match table k={tables.k}")
     check_nodes(graph, nodes)
     _identify(acc, graph, np.array([nodes], dtype=np.int64), tables)

@@ -22,13 +22,7 @@ from graphette.core import (
     bit_length,
     encode,
 )
-from graphette.orbits import (
-    assign_global_orbit_ids,
-    compute_orbit_partitions,
-    generate_automorphisms,
-    orbit_partition,
-    split_cycles,
-)
+from graphette.orbits import assign_global_orbit_ids
 from graphette.sampler import (
     SampleAccumulator,
     SamplingStrategy,
@@ -42,6 +36,12 @@ from graphette.store import (
     HEADER_SIZE,
     TableSet,
     expected_file_size,
+)
+from reference import (
+    compute_orbit_partitions,
+    generate_automorphisms,
+    orbit_partition,
+    split_cycles,
 )
 
 NC_EXPECTED = [1, 2, 4, 11, 34, 156]

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 
@@ -256,6 +257,15 @@ def test_orbits_k3(capsys):
 def test_orbits_k5(capsys):
     assert main(["orbits", "-k", "5"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0] == "# k=5 canonicals=34 orbits=90"
+
+
+def test_orbits_k5_bytes_are_pinned(capsys):
+    # sha256 of `graphette orbits -k 5` stdout, which OrbitPartition.groups formats
+    assert main(["orbits", "-k", "5"]) == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "8c356c4e76f661621d22abc2171c3fea38dc89c08c609d6ca2c64beb1847743c"
+    )
 
 
 def test_orbits_from_table_matches_on_the_fly(k4_table, tmp_path):

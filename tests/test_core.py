@@ -11,9 +11,7 @@ from graphette.core import (
     Permutation,
     apply_permutation,
     bit_length,
-    complement,
     decode,
-    degree_sequence,
     MAX_K,
     _bit_layout,
     edge_bit,
@@ -23,6 +21,7 @@ from graphette.core import (
     induced_bits_batch,
     is_connected,
 )
+from reference import complement, degree_sequence
 
 
 def relabeled_oracle(g: Graphette, perm: Permutation) -> Graphette:

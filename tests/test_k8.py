@@ -25,9 +25,9 @@ import pytest
 
 from graphette.core import (Graphette, HostGraph, apply_permutation, bit_length, decode,
                             induced_bits_batch)
-from graphette.orbits import orbit_partition
 from graphette.sampler import exhaustive_enumerate, sample_distribution
 from graphette.store import TableSet
+from reference import orbit_partition
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("GRAPHETTE_K8") != "1", reason="set GRAPHETTE_K8=1 to build the k=8 table"

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +13,12 @@ from graphette.core import (
     Permutation,
     apply_permutation,
     bit_length,
-    complement,
     encode,
 )
-from graphette.orbits import (
+from graphette.orbits import assign_global_orbit_ids
+from reference import (
     AutomorphismSet,
-    assign_global_orbit_ids,
+    complement,
     compute_orbit_partitions,
     enumerate_orbits,
     generate_automorphisms,
@@ -320,3 +322,21 @@ def test_numbering_matches_loop_on_random_u8_labels(seed):
     assert index.bases.tolist() == bases
     assert index.node_ids.reshape(nc, k).tolist() == node_ids
     assert index.total_orbits == total
+
+
+def test_reference_shares_no_code_with_the_builder():
+    """The oracle must stay independent of the sweep it checks: from
+    graphette.canon it may take only the CanonicalCatalog container."""
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+    builder = {"_perm_tables", "_relabelings", "_sift", "build_canonical_map"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if node.module == "graphette.canon":
+                assert names == {"CanonicalCatalog"}
+            if node.module == "graphette":
+                assert "canon" not in names
+        elif isinstance(node, ast.Import):
+            assert all(not alias.name.startswith("graphette.canon") for alias in node.names)
+        named = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+        assert not builder & named, ast.dump(node)

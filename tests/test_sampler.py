@@ -212,6 +212,15 @@ def test_accumulate_rejects_wrong_size(tables3):
         accumulate(acc, host, [0, 1, 2, 3], tables3)
 
 
+def test_accumulate_refuses_an_accumulator_of_other_tables_or_graph(tables3, tables4):
+    acc = SampleAccumulator.empty(tables3, 4)
+    with pytest.raises(ValueError, match="accumulator has 4 nodes, the graph 8"):
+        accumulate(acc, HostGraph(8, [(5, 6), (6, 7)]), [5, 6, 7], tables3)
+    with pytest.raises(ValueError, match="accumulator k=3 does not match table k=4"):
+        accumulate(acc, HostGraph(4, []), [0, 1, 2, 3], tables4)
+    assert acc.n_samples == 0
+
+
 # --- exhaustive enumeration --------------------------------------------------
 
 
@@ -339,7 +348,7 @@ def test_degree_zero_node_only_gets_isolated_orbits(tables3):
     host = HostGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4)])  # node 5 isolated
     acc = sample_distribution(host, tables3, 2000, seed=19)
     # orbits whose member nodes have degree zero inside their canonical
-    from graphette.core import degrees
+    from reference import degrees
 
     allowed = set()
     for cid in range(len(tables3.catalog)):

@@ -9,7 +9,7 @@ import pytest
 
 from graphette.canon import CanonicalCatalog, LookupTable, pack_record, unpack_record
 from graphette.core import Graphette, Permutation, apply_permutation, bit_length
-from graphette.orbits import GlobalOrbitIndex, orbit_partition
+from graphette.orbits import GlobalOrbitIndex
 from graphette.store import (
     BadMagicError,
     CANONICAL_ID_BITS,
@@ -26,6 +26,7 @@ from graphette.store import (
     expected_file_size,
     serialize,
 )
+from reference import orbit_partition
 
 
 def table_bytes(tables: TableSet) -> bytes:
