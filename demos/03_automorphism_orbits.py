@@ -10,7 +10,7 @@ from math import factorial
 
 import numpy as np
 
-from graphette import OrbitPartition, decode, encode
+from graphette import decode, encode
 from graphette.store import TableSet
 
 tables = {k: TableSet.build(k) for k in (4, 5)}
@@ -23,9 +23,10 @@ def automorphism_counts(t: TableSet) -> np.ndarray:
     return factorial(t.k) // np.bincount(cids, minlength=len(t.catalog))
 
 
-def canonical_orbits(t: TableSet, cid: int) -> OrbitPartition:
-    labels = tuple(t.catalog.orbit_labels[cid].tolist())
-    return OrbitPartition(t.catalog.graphette(cid), labels, len(set(labels)))
+def canonical_orbits(t: TableSet, cid: int) -> list[tuple[int, ...]]:
+    """Orbits of canonical cid as node tuples: nodes grouped by label, labels ascending."""
+    labels = t.catalog.orbit_labels[cid].tolist()
+    return [tuple(u for u, x in enumerate(labels) if x == label) for label in sorted(set(labels))]
 
 
 def describe(name: str, g) -> None:
@@ -35,7 +36,7 @@ def describe(name: str, g) -> None:
     groups = sorted({tuple(u for u in range(g.k) if ids[u] == i) for i in ids})
     print(f"{name}: |Aut| = {automorphism_counts(t)[cid]}, orbits: {groups}")
     print(f"  its canonical bits={t.catalog.canonicals[cid]}:",
-          "orbits", canonical_orbits(t, cid).groups())
+          "orbits", canonical_orbits(t, cid))
 
 
 # A path on 4 nodes: 0-1-2-3. Its only symmetry is the end-for-end flip,
@@ -52,6 +53,6 @@ print("\nk=4 canonicals:")
 for cid in range(len(t4.catalog)):
     g = t4.catalog.graphette(cid)
     print(f"  {cid:2d}: edges={sorted(decode(g))!s:50} |Aut|={auts[cid]:2d}  "
-          f"orbits={canonical_orbits(t4, cid).groups()}")
+          f"orbits={canonical_orbits(t4, cid)}")
 print("class sizes sum to", int((factorial(4) // auts).sum()), "= 2^6 bit vectors")
 print("orbit total:", t4.orbits.total_orbits)

@@ -19,14 +19,12 @@ from .core import (
 )
 from .orbits import (
     GlobalOrbitIndex,
-    OrbitPartition,
     assign_global_orbit_ids,
 )
 from .sampler import (
     GraphetteReport,
     SampleAccumulator,
     SamplingStrategy,
-    accumulate,
     draw_sample,
     estimate,
     exhaustive_enumerate,

@@ -14,7 +14,6 @@ from contextlib import ExitStack
 
 from . import sampler, store
 from .core import Graphette, HostGraph, decode, encode
-from .orbits import OrbitPartition
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,12 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "range relabels every class met before it, so time grows with m")
     p.add_argument("-o", "--out", required=True, help="output table file path")
 
-    p = sub.add_parser("orbits", help="list canonicals with their orbit partitions")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("-k", type=_positive_int,
-                     help="build the whole table on the fly, 1..8 (k=8 takes 13-17 s and "
-                          "2.1 GiB; --table reads a saved file in about 1 s)")
-    src.add_argument("--table", help="read canonicals from a table file")
+    p = sub.add_parser("orbits", help="list a table's canonicals with their orbit partitions")
+    p.add_argument("--table", required=True, help="table file path (see build-table)")
     p.add_argument("-o", "--out", help="output path (default stdout)")
 
     p = sub.add_parser("query", help="identify one graphette through a table")
@@ -114,10 +109,7 @@ def _cmd_build_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
-    if args.table is not None:
-        tables = store.TableSet.load(args.table)
-    else:
-        tables = store.TableSet.build(args.k)
+    tables = store.TableSet.load(args.table)
     catalog = tables.catalog
 
     with ExitStack() as stack:
@@ -125,9 +117,11 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         lines = []
         for cid, labels in enumerate(catalog.orbit_labels.tolist()):
             g = catalog.graphette(cid)
-            part = OrbitPartition(g, tuple(labels), len(set(labels)))
             edges = ",".join(f"{i}-{j}" for i, j in sorted(decode(g)))
-            groups = ";".join(" ".join(map(str, grp)) for grp in part.groups())
+            members: dict[int, list[str]] = {}  # orbit label -> its nodes
+            for u, label in enumerate(labels):
+                members.setdefault(label, []).append(str(u))
+            groups = ";".join(" ".join(members[label]) for label in sorted(members))
             lines.append(
                 f"{cid}\tbits={g.bits}\tedges={edges or '-'}\t"
                 f"connected={int(catalog.connected[cid])}\torbits={groups}"
@@ -145,7 +139,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         g = _parse_edges_literal(args.edges, k)
     cid, witness, connected = tables.query(g)
-    orbit_ids = tables.orbits.node_ids[cid, list(witness.mapping)].tolist()
+    orbit_ids = tables.identify(g.bits)[1]
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
         out.write(

@@ -179,14 +179,14 @@ _HASH_MULTIPLIER = 0x9E3779B97F4A7C15
 class HostGraph:
     """A large undirected simple graph with O(k^2)-cost induced-subgraph reads.
 
-    Adjacency is stored in compressed sparse rows (sorted neighbor arrays), so
-    a single edge test is a binary search in one node's neighbor list.  Each
-    edge owns two adjacency slots, one in each end's row, so a uniform slot
-    names a uniform edge.  Batched edge tests probe an open-addressing set of
-    the edge keys u*n + v (u < v) instead, at load at most 1/2.  The rows
-    hold int32 labels and take 8 bytes per edge and 8 per node, the set 16
-    to 32 bytes per edge: 4.4 and 8.0 MiB for a configuration-model host of
-    100,000 nodes and 475,898 edges.
+    Adjacency is stored in compressed sparse rows (sorted neighbor arrays),
+    which serve neighbor reads and draws.  Each edge owns two adjacency
+    slots, one in each end's row, so a uniform slot names a uniform edge.
+    Edge tests probe an open-addressing set of the edge keys u*n + v
+    (u < v), at load at most 1/2.  The rows hold int32 labels and take 8
+    bytes per edge and 8 per node, the set 16 to 32 bytes per edge: 4.4 and
+    8.0 MiB for a configuration-model host of 100,000 nodes and 475,898
+    edges.
     """
 
     def __init__(self, n: int, edges: "Iterable[tuple[int, int]] | np.ndarray",
@@ -287,11 +287,6 @@ class HostGraph:
         """The i-th smallest neighbor of each u, for 0 <= i < deg(u) (unchecked)."""
         return self._indices[self._indptr[u] + i]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        return i < len(row) and row[i] == v
-
     def has_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise edge tests between broadcastable label arrays.
 
@@ -331,16 +326,15 @@ def check_nodes(graph: HostGraph, nodes: Sequence[int]) -> None:
 def induced_bits(graph: HostGraph, nodes: Sequence[int]) -> Graphette:
     """Graphette induced on an ordered k-tuple of distinct host nodes.
 
-    Position i of `nodes` becomes graphette node i; costs O(k^2) edge tests
-    regardless of host size.  This is the one-sample reference for
-    induced_bits_batch.
+    Position i of `nodes` becomes graphette node i.  Its b(k) edge tests,
+    independent of host size, are one HostGraph.has_edges call, and the
+    hits are packed into a Python int, so k may reach MAX_K.
     """
     check_nodes(graph, nodes)
-    bits = 0
-    for p, (i, j) in enumerate(edge_pairs(len(nodes))):
-        if graph.has_edge(nodes[i], nodes[j]):
-            bits |= 1 << p
-    return Graphette(len(nodes), bits)
+    ends = np.asarray(nodes, dtype=np.int64)
+    hi, lo = np.array(edge_pairs(len(ends)), dtype=np.int64).reshape(-1, 2).T
+    hits = np.packbits(graph.has_edges(ends[hi], ends[lo]), bitorder="little")
+    return Graphette(len(ends), int.from_bytes(hits.tobytes(), "little"))
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,9 @@
 Two nodes of a graphette share an orbit when some automorphism maps one onto
 the other.  A table build reads each canonical's orbit labels off the
 relabelings its own sweep finds (canon.build_canonical_map), as the minimum
-node index of each orbit; this module numbers those orbits consecutively
-across the catalog (``assign_global_orbit_ids``) and gives the partition of
-one graphette a printable form (``OrbitPartition``).
+node index of each orbit, and keeps them in catalog.orbit_labels; this
+module numbers those orbits consecutively across the catalog
+(``assign_global_orbit_ids``).
 """
 
 from __future__ import annotations
@@ -15,23 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon import CanonicalCatalog
-from .core import Graphette
-
-
-@dataclass(frozen=True)
-class OrbitPartition:
-    """Orbit label per node; a label is the minimum node index in its orbit."""
-
-    g: Graphette
-    orbit_of: tuple[int, ...]
-    orbit_count: int
-
-    def groups(self) -> list[tuple[int, ...]]:
-        """Orbits as node tuples, ordered by their minimum member."""
-        out: dict[int, list[int]] = {}
-        for u, label in enumerate(self.orbit_of):
-            out.setdefault(label, []).append(u)
-        return [tuple(out[label]) for label in sorted(out)]
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,16 @@ uniform neighbor v of u; v is rejected if already selected and otherwise
 accepted with probability 1 / c(v), c(v) being its number of selected
 neighbors, so every frontier node is equally likely.  A row whose cut
 Σdeg(S) - 2e(S) is 0 has no frontier and restarts at a uniform unselected
-node.  accumulate is the batch-of-one identify.  The orbit degree vector
-(ODV) is sparse: each batch's flat (node, orbit) ids are tallied into
-sorted (id, count) pairs, which are folded into the accumulator's pairs, so
-no n x W array exists from sample to report; SampleAccumulator.odv builds
-the dense array only on request.  estimate lays the frequencies over the
-accumulator's arrays without copying them, and write_report_tsv formats
-only the nonzero counts, slicing every run of zeros from one prebuilt
-string.  sample_distribution's `workers` splits the draws into that many
-seeded streams, run one after another.
+node.  Sampling and enumeration identify only in such batches; there is
+no one-sample identify path.  The orbit degree vector (ODV) is sparse:
+each batch's flat (node, orbit) ids are tallied into sorted (id, count)
+pairs, which are folded into the accumulator's pairs, so no n x W array
+exists from sample to report; SampleAccumulator.odv builds the dense array
+only on request.  estimate lays the frequencies over the accumulator's
+arrays without copying them, and write_report_tsv formats only the nonzero
+counts, slicing every run of zeros from one prebuilt string.
+sample_distribution's `workers` splits the draws into that many seeded
+streams, run one after another.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from os import PathLike
-from typing import IO, Sequence, Union
+from typing import IO, Union
 
 import numpy as np
 
-from .core import HostGraph, check_memory, check_nodes, induced_bits_batch
+from .core import HostGraph, check_memory, induced_bits_batch
 from .store import TableSet
 
 DEFAULT_ENUMERATION_BOUND = 10_000_000
@@ -364,30 +365,6 @@ def _identify(acc: SampleAccumulator, graph: HostGraph, nodes: np.ndarray,
     acc.add_batch(nodes, cids, orbit_ids)
 
 
-def accumulate(
-    acc: SampleAccumulator,
-    graph: HostGraph,
-    nodes: Sequence[int],
-    tables: TableSet,
-) -> SampleAccumulator:
-    """Identify one k-node sample and fold it into the accumulator.
-
-    Costs O(k^2) host edge tests plus O(1) table lookups, independent of
-    host size.  Raises ValueError on a wrong size, a repeated label, a
-    label outside the host, or an accumulator made for other tables or
-    another node count.
-    """
-    if acc.k != tables.k:
-        raise ValueError(f"accumulator k={acc.k} does not match table k={tables.k}")
-    if acc.host_nodes != graph.n:
-        raise ValueError(f"accumulator has {acc.host_nodes} nodes, the graph {graph.n}")
-    if len(nodes) != tables.k:
-        raise ValueError(f"sample size {len(nodes)} does not match table k={tables.k}")
-    check_nodes(graph, nodes)
-    _identify(acc, graph, np.array([nodes], dtype=np.int64), tables)
-    return acc
-
-
 def sample_distribution(
     graph: HostGraph,
     tables: TableSet,
@@ -400,7 +377,8 @@ def sample_distribution(
 
     The draws are split into `workers` fixed shares, each drawn from its own
     stream seeded by (seed, w); the shares run one after another in this
-    process, so the result depends only on (seed, workers).
+    process, so the result depends only on (seed, workers).  Shares past
+    n_samples would draw nothing, so no stream is made for them.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -408,7 +386,7 @@ def sample_distribution(
         raise ValueError(f"need at least one worker, got {workers}")
     k = tables.k
     acc = SampleAccumulator.empty(tables, graph.n)
-    for worker in range(workers):
+    for worker in range(min(workers, n_samples)):
         rng = np.random.default_rng([seed, worker])
         quota = n_samples // workers + (1 if worker < n_samples % workers else 0)
         while quota:

@@ -1,9 +1,11 @@
 """Reference oracles the tests hold the package against.
 
 Brute force, written for clarity rather than speed, and independent of the
-table builder: nothing here relabels by the builder's permutation tables or
-reads its sweep.  From ``graphette.canon`` it takes only the
-``CanonicalCatalog`` container, whose orbit labels it can fill.
+table builder and of the batched identify path: nothing here relabels by
+the builder's permutation tables or reads its sweep, and nothing probes the
+host's hashed edge set or decodes a batch of records.  From
+``graphette.canon`` it takes only the ``CanonicalCatalog`` container, whose
+orbit labels it can fill.
 
 - Pairwise isomorphism: backtracking over degree-compatible node
   assignments (``are_isomorphic``).
@@ -12,6 +14,10 @@ reads its sweep.  From ``graphette.canon`` it takes only the
   with its minimum current color until stable.  Nodes sharing a final color
   form one orbit, and the color itself is the orbit's minimum node index.
 - Degree sequences and complements of graphettes.
+- One sample at a time: an edge test by binary search in a host node's
+  sorted neighbor row (``has_edge``), the induced graphette from those
+  tests (``induced_bits``), and the identify-and-tally of one k-set through
+  a single table record read (``accumulate``).
 
 Import it from a test as ``from reference import ...``: pytest puts
 ``tests/`` on ``sys.path``.
@@ -20,13 +26,23 @@ Import it from a test as ``from reference import ...``: pytest puts
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from graphette.canon import CanonicalCatalog
-from graphette.core import Graphette, Permutation, adjacency_masks, bit_length, decode
-from graphette.orbits import OrbitPartition
+from graphette.core import (
+    Graphette,
+    HostGraph,
+    Permutation,
+    adjacency_masks,
+    bit_length,
+    check_nodes,
+    decode,
+    edge_pairs,
+)
+from graphette.sampler import SampleAccumulator
+from graphette.store import TableSet
 
 MAX_AUTOMORPHISM_K = 10  # brute-force enumeration stays practical up to here
 
@@ -119,6 +135,22 @@ def are_isomorphic(g: Graphette, h: Graphette) -> Permutation | None:
 
 
 @dataclass(frozen=True)
+class OrbitPartition:
+    """Orbit label per node; a label is the minimum node index in its orbit."""
+
+    g: Graphette
+    orbit_of: tuple[int, ...]
+    orbit_count: int
+
+    def groups(self) -> list[tuple[int, ...]]:
+        """Orbits as node tuples, ordered by their minimum member."""
+        out: dict[int, list[int]] = {}
+        for u, label in enumerate(self.orbit_of):
+            out.setdefault(label, []).append(u)
+        return [tuple(out[label]) for label in sorted(out)]
+
+
+@dataclass(frozen=True)
 class AutomorphismSet:
     """All permutations fixing a graphette, in lexicographic order."""
 
@@ -207,3 +239,43 @@ def compute_orbit_partitions(catalog: CanonicalCatalog) -> None:
     for cid in range(len(catalog)):
         labels[cid] = orbit_partition(catalog.graphette(cid)).orbit_of
     catalog.orbit_labels = labels
+
+
+# ---------------------------------------------------------------------------
+# one sample at a time
+
+
+def has_edge(graph: HostGraph, u: int, v: int) -> bool:
+    """Edge test by binary search in u's sorted neighbor row."""
+    row = graph.neighbors(u)
+    i = np.searchsorted(row, v)
+    return bool(i < len(row) and row[i] == v)
+
+
+def induced_bits(graph: HostGraph, nodes: Sequence[int]) -> Graphette:
+    """Graphette induced on distinct host nodes, one has_edge per node pair;
+    position i of `nodes` becomes graphette node i."""
+    check_nodes(graph, nodes)
+    bits = 0
+    for p, (i, j) in enumerate(edge_pairs(len(nodes))):
+        if has_edge(graph, nodes[i], nodes[j]):
+            bits |= 1 << p
+    return Graphette(len(nodes), bits)
+
+
+def accumulate(acc: SampleAccumulator, graph: HostGraph, nodes: Sequence[int],
+               tables: TableSet) -> SampleAccumulator:
+    """Identify one k-node sample through one table record and tally it.
+
+    Raises ValueError on a wrong size, a repeated label, a label outside the
+    host, or an accumulator made for other tables or another node count.
+    """
+    if acc.k != tables.k:
+        raise ValueError(f"accumulator k={acc.k} does not match table k={tables.k}")
+    if acc.host_nodes != graph.n:
+        raise ValueError(f"accumulator has {acc.host_nodes} nodes, the graph {graph.n}")
+    if len(nodes) != tables.k:
+        raise ValueError(f"sample size {len(nodes)} does not match table k={tables.k}")
+    cid, orbit_ids = tables.identify(induced_bits(graph, nodes).bits)
+    acc.add_batch(np.array([nodes], dtype=np.int64), np.array([cid]), np.array([orbit_ids]))
+    return acc

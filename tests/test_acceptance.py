@@ -26,7 +26,6 @@ from graphette.orbits import assign_global_orbit_ids
 from graphette.sampler import (
     SampleAccumulator,
     SamplingStrategy,
-    accumulate,
     draw_sample,
     exhaustive_enumerate,
     sample_distribution,
@@ -38,6 +37,7 @@ from graphette.store import (
     expected_file_size,
 )
 from reference import (
+    accumulate,
     compute_orbit_partitions,
     generate_automorphisms,
     orbit_partition,

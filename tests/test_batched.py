@@ -18,12 +18,11 @@ import numpy as np
 import pytest
 
 from graphette import sampler
-from graphette.core import HostGraph, bit_length, induced_bits, induced_bits_batch
+from graphette.core import HostGraph, bit_length, induced_bits_batch
 from graphette.sampler import (
     BATCH,
     SampleAccumulator,
     _uniform_batch,
-    accumulate,
     estimate,
     exhaustive_enumerate,
     report_to_string,
@@ -31,6 +30,7 @@ from graphette.sampler import (
     write_report_tsv,
 )
 from graphette.store import TableSet
+from reference import accumulate, induced_bits
 
 
 @pytest.fixture(scope="module")

@@ -22,6 +22,13 @@ def k4_table(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def k5_table(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tables") / "k5.table"
+    assert main(["build-table", "-k", "5", "-o", str(path)]) == EXIT_OK
+    return path
+
+
 def write_graph(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -246,38 +253,33 @@ def test_sample_and_enumerate_schemas_match(k3_table, tmp_path):
 # --- orbits ------------------------------------------------------------------
 
 
-def test_orbits_k3(capsys):
-    assert main(["orbits", "-k", "3"]) == EXIT_OK
+def test_orbits_k3(k3_table, capsys):
+    assert main(["orbits", "--table", str(k3_table)]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "# k=3 canonicals=4 orbits=6"
     triangle = [l for l in lines if "bits=7" in l]
     assert triangle and "orbits=0 1 2" in triangle[0]
 
 
-def test_orbits_k5(capsys):
-    assert main(["orbits", "-k", "5"]) == EXIT_OK
+def test_orbits_k5(k5_table, capsys):
+    assert main(["orbits", "--table", str(k5_table)]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0] == "# k=5 canonicals=34 orbits=90"
 
 
-def test_orbits_k5_bytes_are_pinned(capsys):
-    # sha256 of `graphette orbits -k 5` stdout, which OrbitPartition.groups formats
-    assert main(["orbits", "-k", "5"]) == EXIT_OK
+def test_orbits_k5_bytes_are_pinned(k5_table, capsys):
+    # sha256 of `graphette orbits` stdout on a k=5 table
+    assert main(["orbits", "--table", str(k5_table)]) == EXIT_OK
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
         "8c356c4e76f661621d22abc2171c3fea38dc89c08c609d6ca2c64beb1847743c"
     )
 
 
-def test_orbits_from_table_matches_on_the_fly(k4_table, tmp_path):
-    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    assert main(["orbits", "-k", "4", "-o", str(a)]) == EXIT_OK
-    assert main(["orbits", "--table", str(k4_table), "-o", str(b)]) == EXIT_OK
-    assert a.read_text() == b.read_text()
-
-
-def test_orbits_rejects_k9(capsys):
-    assert main(["orbits", "-k", "9"]) == EXIT_FORMAT
-    assert "k in 1..8" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [["-k", "4"], []])
+def test_orbits_reads_only_a_table_file(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["orbits", *argv])
+    assert exc.value.code == 2
 
 
 def test_subcommand_required():
@@ -286,12 +288,12 @@ def test_subcommand_required():
     assert exc.value.code == 2
 
 
-def test_module_entry_point():
+def test_module_entry_point(k3_table):
     import subprocess
     import sys
 
     proc = subprocess.run(
-        [sys.executable, "-m", "graphette", "orbits", "-k", "3"],
+        [sys.executable, "-m", "graphette", "orbits", "--table", str(k3_table)],
         capture_output=True,
         text=True,
     )

@@ -340,3 +340,18 @@ def test_reference_shares_no_code_with_the_builder():
             assert all(not alias.name.startswith("graphette.canon") for alias in node.names)
         named = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
         assert not builder & named, ast.dump(node)
+
+
+def test_reference_shares_no_code_with_the_batch_path():
+    """The one-sample oracles must stay independent of the batched identify
+    path they check: no hashed edge probe, batch packing or batch decode,
+    and no import of the package's own induced_bits, which probes the set."""
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+    batch = {"has_edges", "induced_bits_batch", "identify_batch", "read_batch", "_identify",
+             "_hash_table"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("graphette"):
+            assert "induced_bits" not in {alias.name for alias in node.names}
+        named = {getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "name", None), getattr(node, "asname", None)}
+        assert not batch & named, ast.dump(node)

@@ -11,7 +11,6 @@ from graphette.sampler import (
     SampleAccumulator,
     SamplingStrategy,
     _draw_batch,
-    accumulate,
     draw_sample,
     estimate,
     exhaustive_enumerate,
@@ -21,6 +20,7 @@ from graphette.sampler import (
     write_report_tsv,
 )
 from graphette.store import TableSet
+from reference import accumulate, has_edge
 
 
 def complete_host(n: int) -> HostGraph:
@@ -35,7 +35,7 @@ def test_load_simple_path():
     assert g.n == 3
     assert g.edge_count == 2
     assert g.names == ["a", "b", "c"]
-    assert g.has_edge(0, 1) and g.has_edge(1, 2) and not g.has_edge(0, 2)
+    assert has_edge(g, 0, 1) and has_edge(g, 1, 2) and not has_edge(g, 0, 2)
 
 
 def test_load_rejects_self_loop_with_line_number():
@@ -148,7 +148,7 @@ def test_edge_expansion_seeds_with_an_edge():
     rng = np.random.default_rng(6)
     for _ in range(50):
         nodes = draw_sample(host, 2, SamplingStrategy.EDGE_EXPANSION, rng)
-        assert host.has_edge(nodes[0], nodes[1])
+        assert has_edge(host, nodes[0], nodes[1])
 
 
 def test_sample_requires_enough_nodes():
@@ -334,6 +334,24 @@ def test_worker_split_is_deterministic(tables3):
     assert np.array_equal(a.odv, b.odv)
 
 
+def test_workers_past_the_sample_count_make_no_streams(tables3, monkeypatch):
+    host = HostGraph(30, [(i, (i + 1) % 30) for i in range(30)])
+    five = sample_distribution(host, tables3, 5, seed=3, workers=5)
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counted_rng(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    many = sample_distribution(host, tables3, 5, seed=3, workers=10**5)
+    assert seeds == [[3, w] for w in range(5)]
+    assert np.array_equal(many.graphette_counts, five.graphette_counts)
+    assert np.array_equal(many.odv_keys, five.odv_keys)
+    assert np.array_equal(many.odv_counts, five.odv_counts)
+
+
 def test_merge_is_elementwise_sum(tables3):
     host = complete_host(6)
     a = sample_distribution(host, tables3, 40, seed=17)
@@ -475,7 +493,7 @@ def test_edge_expansion_at_k1_and_k2():
     assert set(ones[:, 0].tolist()) == {0, 1, 4, 5, 6, 8}
     assert 0.35 < np.mean(ones[:, 0] == 0) < 0.55
     pairs = _draw_batch(host, rng, 2, SamplingStrategy.EDGE_EXPANSION, 2000)
-    assert all(host.has_edge(u, v) for u, v in pairs.tolist())
+    assert all(has_edge(host, u, v) for u, v in pairs.tolist())
     tables2 = TableSet.build(2)
     acc = sample_distribution(host, tables2, 500, strategy=SamplingStrategy.EDGE_EXPANSION,
                               seed=24)
@@ -495,7 +513,7 @@ def test_expansion_restarts_when_the_component_runs_out():
     assert restarts[8:].sum() == 0
     assert (np.abs(restarts[:8] - len(stranded) / 8) < 5 * np.sqrt(len(stranded) / 8)).all()
     # ... and growth then resumes from the restarted node's frontier
-    assert all(host.has_edge(u, v) for u, v in stranded[:, 2:].tolist())
+    assert all(has_edge(host, u, v) for u, v in stranded[:, 2:].tolist())
 
 
 def test_sample_distribution_edge_expansion_needs_an_edge(tables3):
